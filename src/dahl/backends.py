@@ -109,6 +109,14 @@ class Backend(Protocol):
         ...
 
 
+_TRANSIENT_TRANSPORT_ERRORS = (
+    requests.Timeout,
+    requests.ConnectionError,
+    requests.exceptions.ChunkedEncodingError,
+    requests.exceptions.ContentDecodingError,
+)
+
+
 def _normalize_finish_reason(raw: Optional[str]) -> str:
     if raw in ("stop", "length"):
         return raw
@@ -119,8 +127,10 @@ class HttpBackend:
     """Plain JSON chat-completion client with retry logic.
 
     The session and sleep function are injectable for tests. 429 and
-    5xx responses, timeouts, and connection drops are retried with
-    exponential backoff and jitter; other 4xx fail immediately.
+    5xx responses, timeouts, connection drops, and bodies cut off or
+    garbled in transit are retried with exponential backoff and jitter;
+    other 4xx and any other transport error fail immediately. Every
+    failure surfaces as a BackendError.
     """
 
     def __init__(
@@ -194,8 +204,12 @@ class HttpBackend:
                 resp = self._session.post(
                     self.spec.endpoint, json=body, headers=headers, timeout=self.spec.timeout_s
                 )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except _TRANSIENT_TRANSPORT_ERRORS as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
+            except requests.RequestException as exc:
+                raise PermanentBackendError(
+                    f"backend {self.backend_id}: {type(exc).__name__}: {exc}"
+                ) from exc
             else:
                 if resp.status_code == 200:
                     try:

@@ -49,10 +49,7 @@ def check_unit(
     """
     if not unit_text.strip():
         raise ValueError("unit text must be non-empty")
-    template = (
-        prompt_template if prompt_template is not None else defaults.load_prompt("checker")
-    )
-    prompt = defaults.fill_template(template, unit=unit_text)
+    prompt = defaults.fill_template("checker", prompt_template, unit=unit_text)
     request = ChatRequest(
         backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
     )

@@ -140,13 +140,12 @@ def generate_questions(
     """
     if not doc.body.strip():
         raise ValueError(f"document {doc.doc_id!r} has an empty body")
-    template = (
-        prompt_template
-        if prompt_template is not None
-        else defaults.load_prompt("question_generation")
-    )
     prompt = defaults.fill_template(
-        template, title=doc.title, body=doc.body, n=str(questions_per_doc)
+        "question_generation",
+        prompt_template,
+        title=doc.title,
+        body=doc.body,
+        n=str(questions_per_doc),
     )
     request = ChatRequest(
         backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
@@ -240,11 +239,11 @@ def categorize(
     gen_config: GenConfig = CATEGORIZER_GEN,
 ) -> CategorizeResult:
     """One categorizer call for one question text."""
-    template = (
-        prompt_template if prompt_template is not None else defaults.load_prompt("categorizer")
-    )
     prompt = defaults.fill_template(
-        template, question=text, labels="\n".join(f"- {label}" for label in category_set)
+        "categorizer",
+        prompt_template,
+        question=text,
+        labels="\n".join(f"- {label}" for label in category_set),
     )
     request = ChatRequest(
         backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config

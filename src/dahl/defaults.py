@@ -1,15 +1,17 @@
 """Loaders for the data files shipped inside the package.
 
-Everything here is overridable: each loader takes an optional path and
-falls back to the packaged copy, so the framework can be pointed at a
-different domain without touching code.
+Prompt templates, filter rules, categories and review overrides are
+configurable: config.RunConfig resolves them once per run, falling back
+to the packaged copies. Abbreviations and refusal phrases are fixed
+package data, parsed once per process; to port DAHL to another domain,
+edit the files under src/dahl/data/.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional, Tuple
 
 from .types import CategorySet
 
@@ -49,12 +51,13 @@ def load_category_set(path: Optional[str] = None) -> CategorySet:
     return CategorySet(labels=tuple(labels))
 
 
-def load_noncommittal_phrases(path: Optional[str] = None) -> List[str]:
-    return parse_line_file(_read_maybe(path, "noncommittal_phrases.txt"))
+def load_noncommittal_phrases() -> Tuple[str, ...]:
+    return tuple(parse_line_file(read_data_text("noncommittal_phrases.txt")))
 
 
-def load_abbreviations(path: Optional[str] = None) -> FrozenSet[str]:
-    return frozenset(parse_line_file(_read_maybe(path, "abbreviations.txt")))
+@lru_cache(maxsize=None)
+def load_abbreviations() -> FrozenSet[str]:
+    return frozenset(parse_line_file(read_data_text("abbreviations.txt")))
 
 
 def load_prompt(name: str, path: Optional[str] = None) -> str:
@@ -63,13 +66,14 @@ def load_prompt(name: str, path: Optional[str] = None) -> str:
     return _read_maybe(path, f"prompts/{name}.txt")
 
 
-def fill_template(template: str, **values: str) -> str:
+def fill_template(name: str, template: Optional[str], **values: str) -> str:
     """Substitute {name} placeholders literally.
 
-    Plain replacement instead of str.format so user-edited templates
-    may contain braces without escaping them.
+    With no template, the packaged prompt called name is used. Plain
+    replacement instead of str.format so user-edited templates may
+    contain braces without escaping them.
     """
-    out = template
+    out = template if template is not None else load_prompt(name)
     for key, value in values.items():
         out = out.replace("{" + key + "}", str(value))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-_MARKER = re.compile(r"^\s*(?:\d{1,3}[.)]\s+|[-*•]\s+)")
+_MARKER = re.compile(r"^\s*(?:\d+[.)]\s+|[-*•]\s+)")
 
 
 def parse_list_output(raw: str) -> list:

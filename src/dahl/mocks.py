@@ -203,17 +203,12 @@ def question_generator_reply(req: ChatRequest) -> str:
     return "\n".join(f"{i}. {q}" for i, q in enumerate(questions, start=1))
 
 
-def echo_reply(req: ChatRequest) -> str:
-    return req.user_prompt
-
-
 BEHAVIORS: dict = {
     "generator": generator_reply,
     "splitter": splitter_reply,
     "checker": checker_reply,
     "categorizer": categorizer_reply,
     "question_generator": question_generator_reply,
-    "echo": echo_reply,
 }
 
 

@@ -16,7 +16,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .backends import Backend
 from .check import check_response
@@ -56,8 +56,6 @@ def run_evaluation(
     checker: Backend,
     gen_config: GenConfig,
     prompts: Optional[Dict[str, str]] = None,
-    abbreviations: Optional[FrozenSet[str]] = None,
-    noncommittal_phrases: Optional[Sequence[str]] = None,
     resume: bool = False,
     stop_after: Optional[str] = None,
     concurrency: int = 4,
@@ -65,10 +63,11 @@ def run_evaluation(
 ) -> EvaluationResult:
     """Run generate -> preprocess -> split -> check -> score.
 
-    With resume, records already past a stage are left alone; without
-    it, any existing records file is ignored and overwritten. stop_after
-    ends the run after the named stage's barrier write, which is how
-    interrupts are simulated in tests.
+    With resume, records already past a stage are left alone and
+    records whose question is no longer asked are written back
+    unchanged; without it, any existing records file is ignored and
+    overwritten. stop_after ends the run after the named stage's
+    barrier write, which is how interrupts are simulated in tests.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise PipelineError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
@@ -80,6 +79,8 @@ def run_evaluation(
         raise PipelineError(f"duplicate question ids: {dupes}")
     prompts = prompts or {}
     response_template = prompts.get("response_generation")
+    split_template = prompts.get("splitter")
+    check_template = prompts.get("checker")
 
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, records_name)
@@ -110,47 +111,33 @@ def run_evaluation(
         missing = [q for q in questions if q.question_id not in existing]
         for question, record in zip(missing, pool.map(generate, missing)):
             existing[question.question_id] = record
-        records = [existing[q.question_id] for q in questions] + orphans
-
-        def barrier(stage: str) -> bool:
-            write_records(records, records_path)
-            return stop_after == stage
-
-        if barrier("generate"):
+        current = [existing[q.question_id] for q in questions]
+        records = current + orphans
+        write_records(records, records_path)
+        if stop_after == "generate":
             return EvaluationResult(records, None, records_path)
 
-        # Stage: preprocess. Pure text work, no pool needed.
+        # The step functions are looked up at call time, so rebinding
+        # them on this module (as a tracer does) takes effect.
         prompt_by_id = {
             q.question_id: render_question_prompt(q.text, response_template) for q in questions
         }
-        for record in records:
-            if record.status is Status.PENDING and record.question_id in prompt_by_id:
-                preprocess(
-                    record,
-                    prompt_by_id[record.question_id],
-                    abbreviations,
-                    noncommittal_phrases,
-                )
-        if barrier("preprocess"):
-            return EvaluationResult(records, None, records_path)
-
-        # Stage: split.
-        targets = [r for r in records if r.status is Status.PREPROCESSED]
-        list(pool.map(lambda r: split_into_units(r, splitter, prompts.get("splitter")), targets))
-        if barrier("split"):
-            return EvaluationResult(records, None, records_path)
-
-        # Stage: check.
-        targets = [r for r in records if r.status is Status.SPLIT]
-        list(pool.map(lambda r: check_response(r, checker, prompts.get("checker")), targets))
-        if barrier("check"):
-            return EvaluationResult(records, None, records_path)
+        steps = (
+            ("preprocess", Status.PENDING, lambda r: preprocess(r, prompt_by_id[r.question_id])),
+            ("split", Status.PREPROCESSED, lambda r: split_into_units(r, splitter, split_template)),
+            ("check", Status.SPLIT, lambda r: check_response(r, checker, check_template)),
+        )
+        for stage, status, step in steps:
+            # Orphans carried along on resume are never advanced.
+            list(pool.map(step, [r for r in current if r.status is status]))
+            write_records(records, records_path)
+            if stop_after == stage:
+                return EvaluationResult(records, None, records_path)
     finally:
         pool.shutdown(wait=True)
 
-    # Stage: score. Orphans carried along on resume stay out of the report.
-    id_set = set(ids)
-    report = dahl_score([r for r in records if r.question_id in id_set])
+    # Stage: score. Orphans stay out of the report.
+    report = dahl_score(current)
     write_records(records, records_path)
     write_report_files(report, out_dir)
     return EvaluationResult(records, report, records_path)
@@ -173,8 +160,6 @@ def run_temperature_ablation(
     seed: int = 0,
     concurrency: int = 4,
     allow_high_temperatures: bool = False,
-    abbreviations: Optional[FrozenSet[str]] = None,
-    noncommittal_phrases: Optional[Sequence[str]] = None,
     resume: bool = False,
 ) -> List[dict]:
     """Evaluate one fixed stratified sample at every temperature.
@@ -218,8 +203,6 @@ def run_temperature_ablation(
                 checker,
                 gen_config,
                 prompts=prompts,
-                abbreviations=abbreviations,
-                noncommittal_phrases=noncommittal_phrases,
                 resume=resume,
                 concurrency=concurrency,
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Optional, Sequence
 
 from . import defaults
@@ -63,20 +64,17 @@ def _is_boundary(text: str, punct_end: int, abbreviations: FrozenSet[str]) -> bo
     return True
 
 
-def segment_sentences(
-    text: str, abbreviations: Optional[FrozenSet[str]] = None
-) -> List[Sentence]:
+def segment_sentences(text: str) -> List[Sentence]:
     """Split at {. ! ?} followed by whitespace and an uppercase/digit start.
 
     Decimal numbers never split (no whitespace after the dot) and
-    abbreviations from the configured list are protected. Punctuation
+    abbreviations from the packaged list are protected. Punctuation
     followed by a lowercase letter is treated as sentence-internal,
     which errs on the side of keeping text together.
     """
     if not text.strip():
         return []
-    if abbreviations is None:
-        abbreviations = defaults.load_abbreviations()
+    abbreviations = defaults.load_abbreviations()
 
     boundaries = []
     for match in re.finditer(r"[.!?]+", text):
@@ -138,17 +136,13 @@ def dedup_sentences(sentences: Iterable[Sentence]) -> List[Sentence]:
     return out
 
 
-def drop_incomplete_tail(
-    sentences: Sequence[Sentence], finish_reason: Optional[str] = None
-) -> List[Sentence]:
+def drop_incomplete_tail(sentences: Sequence[Sentence]) -> List[Sentence]:
     """Drop the final sentence when it lacks terminal punctuation.
 
     Applied unconditionally, not only on a length cutoff: an
     unterminated tail is unverifiable regardless of why generation
-    stopped. finish_reason is accepted for interface symmetry and kept
-    in the record for audit.
+    stopped. The record keeps finish_reason for audit.
     """
-    del finish_reason
     if not sentences:
         return []
     last = sentences[-1].text.rstrip(_CLOSERS)
@@ -157,30 +151,12 @@ def drop_incomplete_tail(
     return list(sentences[:-1])
 
 
-def detect_noncommittal(text: str, phrases: Optional[Sequence[str]] = None) -> bool:
-    """True when the text consists only of refusal/ignorance phrases."""
-    sentences = segment_sentences(text)
-    return _only_noncommittal(sentences, _phrase_keys(phrases))
+@lru_cache(maxsize=None)
+def _phrase_keys() -> FrozenSet[str]:
+    return frozenset(normalize_sentence_key(p) for p in defaults.load_noncommittal_phrases())
 
 
-def _phrase_keys(phrases: Optional[Sequence[str]]) -> FrozenSet[str]:
-    if phrases is None:
-        phrases = defaults.load_noncommittal_phrases()
-    return frozenset(normalize_sentence_key(p) for p in phrases)
-
-
-def _only_noncommittal(sentences: Sequence[Sentence], phrase_keys: FrozenSet[str]) -> bool:
-    if not sentences:
-        return False
-    return all(s.normalized_key in phrase_keys for s in sentences)
-
-
-def preprocess(
-    record: EvalRecord,
-    prompt: str,
-    abbreviations: Optional[FrozenSet[str]] = None,
-    noncommittal_phrases: Optional[Sequence[str]] = None,
-) -> EvalRecord:
+def preprocess(record: EvalRecord, prompt: str) -> EvalRecord:
     """Run the full cleanup pass on a pending record, in place.
 
     Sets status to preprocessed, or to excluded_noncommittal when the
@@ -189,12 +165,12 @@ def preprocess(
     if record.status is not Status.PENDING:
         raise ValueError(f"preprocess requires status=pending, got {record.status.value}")
     text = strip_prompt_echo(record.raw_response, prompt)
-    sentences = segment_sentences(text, abbreviations)
+    sentences = segment_sentences(text)
     sentences = dedup_sentences(sentences)
-    sentences = drop_incomplete_tail(sentences, record.finish_reason)
+    sentences = drop_incomplete_tail(sentences)
     cleaned = " ".join(s.text for s in sentences)
     record.preprocessed = cleaned
-    if not cleaned or _only_noncommittal(sentences, _phrase_keys(noncommittal_phrases)):
+    if not cleaned or all(s.normalized_key in _phrase_keys() for s in sentences):
         record.status = Status.EXCLUDED_NONCOMMITTAL
     else:
         record.status = Status.PREPROCESSED
@@ -203,12 +179,9 @@ def preprocess(
 
 def render_question_prompt(question_text: str, prompt_template: Optional[str] = None) -> str:
     """The exact user prompt sent for a question; also used by echo removal."""
-    template = (
-        prompt_template
-        if prompt_template is not None
-        else defaults.load_prompt("response_generation")
-    )
-    return defaults.fill_template(template, question=question_text).strip()
+    return defaults.fill_template(
+        "response_generation", prompt_template, question=question_text
+    ).strip()
 
 
 def generate_response(

@@ -43,10 +43,7 @@ def split_into_units(
         raise ValueError(f"split requires status=preprocessed, got {record.status.value}")
     if not record.preprocessed:
         raise ValueError("split requires non-empty preprocessed text")
-    template = (
-        prompt_template if prompt_template is not None else defaults.load_prompt("splitter")
-    )
-    prompt = defaults.fill_template(template, response=record.preprocessed)
+    prompt = defaults.fill_template("splitter", prompt_template, response=record.preprocessed)
     request = ChatRequest(
         backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
     )

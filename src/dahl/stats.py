@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,19 @@ def _sample_var(values: Sequence, mean: float) -> float:
     return math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
 
 
+def _unit_deviations(values: Sequence) -> List[float]:
+    # r does not change when x or y is scaled. Scaling to largest
+    # magnitude 1 before centering keeps tiny values clear of subnormal
+    # rounding and the sums of squares clear of underflow.
+    largest = max(abs(v) for v in values) or 1.0
+    scaled = [v / largest for v in values]
+    mean = _mean(scaled)
+    deviations = [v - mean for v in scaled]
+    if not any(deviations):
+        raise ValueError("zero variance: correlation is undefined for constant input")
+    return deviations
+
+
 def pearson(x: Iterable, y: Iterable) -> TestResult:
     """Pearson correlation with a two-tailed p-value.
 
@@ -163,14 +176,10 @@ def pearson(x: Iterable, y: Iterable) -> TestResult:
     n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 pairs, got {n}")
-    mx = _mean(xs)
-    my = _mean(ys)
-    dx = [v - mx for v in xs]
-    dy = [v - my for v in ys]
+    dx = _unit_deviations(xs)
+    dy = _unit_deviations(ys)
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("zero variance: correlation is undefined for constant input")
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     df = n - 2
@@ -242,31 +251,6 @@ def t_test(x: Iterable, y: Iterable, variant: str = "student_pooled") -> TestRes
         raise ValueError("zero variance with unequal means: t statistic is undefined")
     t = (mx - my) / se
     return TestResult(statistic=t, p_two_tailed=t_sf_two_tailed(t, df), df=df)
-
-
-@dataclass(frozen=True)
-class UnitCountComparison:
-    """t-test over two unit-count vectors plus the alpha-level call."""
-
-    result: TestResult
-    alpha: float
-    significant: bool
-
-    @property
-    def decision(self) -> str:
-        return "significant difference" if self.significant else "no significant difference"
-
-
-def unit_count_compare(
-    counts_a: Sequence, counts_b: Sequence, alpha: float = 0.05
-) -> UnitCountComparison:
-    """Compare two aligned unit-count vectors at the given alpha."""
-    if len(counts_a) != len(counts_b):
-        raise ValueError("count vectors must be aligned (equal length)")
-    if len(counts_a) < 3:
-        raise ValueError(f"need at least 3 aligned counts, got {len(counts_a)}")
-    result = t_test(counts_a, counts_b)
-    return UnitCountComparison(result=result, alpha=alpha, significant=result.p_two_tailed < alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -50,27 +50,6 @@ class Status(enum.Enum):
     FAILED = "failed"
 
 
-# Position along the happy path. Terminal branches are absent: a record
-# in one of them is never picked up by a later stage.
-STAGE_RANK = {
-    Status.PENDING: 0,
-    Status.PREPROCESSED: 1,
-    Status.SPLIT: 2,
-    Status.CHECKED: 3,
-    Status.SCORED: 4,
-}
-
-TERMINAL_STATUSES = frozenset(
-    {
-        Status.SCORED,
-        Status.EXCLUDED_NONCOMMITTAL,
-        Status.EXCLUDED_UNKNOWN,
-        Status.EXCLUDED_MISMATCH,
-        Status.FAILED,
-    }
-)
-
-
 class ReviewOverride(enum.Enum):
     NONE = "none"
     FORCE_KEEP = "force_keep"

@@ -130,11 +130,22 @@ def test_http_retries_timeouts_and_connection_errors():
         [
             requests.Timeout("too slow"),
             requests.ConnectionError("reset"),
+            requests.exceptions.ChunkedEncodingError("peer dropped the body"),
+            requests.exceptions.ContentDecodingError("bad gzip"),
             FakeResponse(200, ok_payload()),
         ]
     )
+    retry = RetryPolicy(max_attempts=5, base_backoff_s=0.5)
+    backend = HttpBackend(spec(retry=retry), session=session, sleeper=lambda s: None)
+    assert backend.complete(request()).attempts == 5
+
+
+def test_http_other_transport_errors_are_permanent():
+    session = FakeSession([requests.TooManyRedirects("redirect loop")])
     backend = HttpBackend(spec(), session=session, sleeper=lambda s: None)
-    assert backend.complete(request()).attempts == 3
+    with pytest.raises(PermanentBackendError, match="TooManyRedirects"):
+        backend.complete(request())
+    assert len(session.calls) == 1
 
 
 def test_http_gives_up_after_attempt_budget():

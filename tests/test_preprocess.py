@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dahl.responses import (
     dedup_sentences,
-    detect_noncommittal,
     drop_incomplete_tail,
     generate_response,
     normalize_sentence_key,
@@ -158,18 +157,12 @@ def test_drop_incomplete_tail_drops_unterminated():
 def test_drop_incomplete_tail_keeps_terminated():
     sents = segment_sentences("One. Two.")
     assert drop_incomplete_tail(sents) == list(sents)
+    assert drop_incomplete_tail([]) == []
 
 
 def test_drop_incomplete_tail_respects_closing_quote():
     sents = segment_sentences('He wrote one sentence. "It ended well."')
     assert len(drop_incomplete_tail(sents)) == 2
-
-
-def test_drop_incomplete_tail_ignores_finish_reason():
-    sents = segment_sentences("Fine. but cut off mid")
-    assert len(drop_incomplete_tail(sents, finish_reason="stop")) == 0
-    assert len(drop_incomplete_tail(sents, finish_reason="length")) == 0
-    assert drop_incomplete_tail([], None) == []
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,9 @@ def test_echo_only_leading_occurrence_removed():
     ],
 )
 def test_refusals_detected(text):
-    assert detect_noncommittal(text)
+    record = make_record(status=Status.PENDING, verdicts=None, raw=text)
+    preprocess(record, "")
+    assert record.status is Status.EXCLUDED_NONCOMMITTAL
 
 
 @pytest.mark.parametrize(
@@ -230,12 +225,9 @@ def test_refusals_detected(text):
     ],
 )
 def test_substantive_text_is_not_noncommittal(text):
-    assert not detect_noncommittal(text)
-
-
-def test_empty_text_is_not_noncommittal_by_itself():
-    # emptiness is handled separately in preprocess
-    assert not detect_noncommittal("")
+    record = make_record(status=Status.PENDING, verdicts=None, raw=text)
+    preprocess(record, "")
+    assert record.status is Status.PREPROCESSED
 
 
 def test_preprocess_excludes_refusal_and_empty():
@@ -249,11 +241,6 @@ def test_preprocess_excludes_refusal_and_empty():
     preprocess(record, "The prompt.")
     assert record.status is Status.EXCLUDED_NONCOMMITTAL
     assert record.preprocessed == ""
-
-
-def test_custom_phrase_list_is_honored():
-    assert detect_noncommittal("No comment.", phrases=["no comment"])
-    assert not detect_noncommittal("No comment.", phrases=["something else"])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ def test_bullet_lists():
     assert parse_list_output(raw) == ["dash item", "star item", "bullet item"]
 
 
+def test_numbered_list_past_three_digits():
+    raw = "\n".join(f"{i}. Claim number {i}." for i in range(1, 1002))
+    got = parse_list_output(raw)
+    assert len(got) == 1001
+    assert got[999] == "Claim number 1000."
+    assert got[-1] == "Claim number 1001."
+
+
 def test_unmarked_lines_continue_previous_item():
     raw = "1. A long claim that\nwraps onto the next line.\n2. Second."
     assert parse_list_output(raw) == [

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dahl.stats import (
@@ -16,7 +16,6 @@ from dahl.stats import (
     stratified_sample,
     t_sf_two_tailed,
     t_test,
-    unit_count_compare,
 )
 from dahl.types import Question
 
@@ -162,6 +161,21 @@ def test_pearson_input_validation():
         pearson([1, 2, float("nan")], [1, 2, 3])
 
 
+def test_pearson_tiny_values_give_the_r_of_scaled_up_values():
+    # The products of the raw deviations underflow to zero for the
+    # first pair, and the mean of the subnormal x rounds off the grid.
+    expected = pearson([0, 0, 0, 1], [0, 0, 1, 2]).statistic
+    tiny = pearson([0, 0, 0, 1e-100], [0, 0, 1e-100, 2e-100]).statistic
+    subnormal = pearson([0, 0, 0, 5e-324], [0, 0, 1, 2]).statistic
+    assert tiny == pytest.approx(expected)
+    assert subnormal == pytest.approx(expected)
+
+
+def _spread_survives(values):
+    """True when the spread of values is not lost against their magnitude."""
+    return max(values) - min(values) > 1e-4 * max(abs(v) for v in values)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.lists(
@@ -170,13 +184,24 @@ def test_pearson_input_validation():
     scale=st.floats(0.5, 8.0),
     shift=st.floats(-30.0, 30.0),
 )
+# x + 1 rounds every value to 1.0: the moved x is constant, so pearson
+# is right to raise, and the case is outside the property.
+@example(
+    data=[(0.0, 1.0), (0.0, 2.0), (0.0, 4.0), (3.17e-25, 3.0)], scale=1.0, shift=1.0
+)
 def test_pearson_affine_invariance(data, scale, shift):
     xs = [p[0] for p in data]
     ys = [p[1] for p in data]
-    if len(set(xs)) < 2 or len(set(ys)) < 2:
+    moved_xs = [scale * v + shift for v in xs]
+    if not (_spread_survives(xs) and _spread_survives(moved_xs)):
+        return
+    if len(set(ys)) == 1:
+        for x_values in (xs, moved_xs):
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson(x_values, ys)
         return
     base = pearson(xs, ys)
-    moved = pearson([scale * v + shift for v in xs], ys)
+    moved = pearson(moved_xs, ys)
     assert moved.statistic == pytest.approx(base.statistic, abs=1e-9)
     assert moved.p_two_tailed == pytest.approx(base.p_two_tailed, abs=1e-9)
 
@@ -275,33 +300,6 @@ def test_t_test_rejects_unknown_variant_and_tiny_samples():
 def test_test_result_to_dict_handles_df_pair():
     assert TestResult(2.0, 0.5, (3.0, 4.0)).to_dict()["df"] == [3.0, 4.0]
     assert TestResult(2.0, 0.5, 7.0).to_dict()["df"] == 7.0
-
-
-# ---------------------------------------------------------------------------
-# unit count comparison
-
-
-def test_unit_count_compare_identical():
-    counts = [5, 6, 7, 5, 6]
-    cmp = unit_count_compare(counts, list(counts))
-    assert not cmp.significant
-    assert "no significant difference" in cmp.decision
-
-
-def test_unit_count_compare_obvious_shift():
-    a = [5, 6, 7, 5, 6, 7, 5, 6]
-    b = [v + 30 for v in a]
-    cmp = unit_count_compare(a, b)
-    assert cmp.significant
-    assert cmp.decision == "significant difference"
-    assert cmp.result.p_two_tailed < 0.05
-
-
-def test_unit_count_compare_alignment_required():
-    with pytest.raises(ValueError, match="aligned"):
-        unit_count_compare([1, 2, 3], [1, 2])
-    with pytest.raises(ValueError, match="at least 3"):
-        unit_count_compare([1, 2], [3, 4])
 
 
 # ---------------------------------------------------------------------------
