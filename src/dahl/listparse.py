@@ -14,21 +14,21 @@ _MARKER = re.compile(r"^\s*(?:\d+[.)]\s+|[-*•]\s+)")
 
 
 def parse_list_output(raw: str) -> list:
-    marked_items = []
+    marked_items = []  # the parts of each marked item, joined once at the end
     bare_lines = []
-    saw_marker = False
     for line in raw.splitlines():
         stripped = line.strip()
         if not stripped:
             continue
         match = _MARKER.match(line)
         if match:
-            saw_marker = True
-            marked_items.append(line[match.end() :].strip())
-        elif saw_marker and marked_items:
-            marked_items[-1] = f"{marked_items[-1]} {stripped}"
+            marked_items.append([line[match.end() :].strip()])
+        elif marked_items:
+            marked_items[-1].append(stripped)
         else:
             bare_lines.append(stripped)
 
-    items = marked_items if saw_marker else bare_lines
+    if not marked_items:
+        return bare_lines
+    items = (" ".join(parts) for parts in marked_items)
     return [item for item in items if item]

@@ -42,24 +42,46 @@ def normalize_sentence_key(text: str) -> str:
     return t.rstrip(_CLOSERS + _TERMINAL_PUNCT + " ")
 
 
+def _token_before(text: str, end: int) -> str:
+    """The word right before text[end]: the [\\w.] run ending there, minus leading dots.
+
+    A single newline between the word and text[end] is stepped over,
+    so "Fig\\n." reads as "Fig". \\w is tested as isalnum() or "_",
+    which accepts the same code points.
+    """
+    if end > 0 and text[end - 1] == "\n":
+        end -= 1
+    start = end
+    while start > 0 and (text[start - 1].isalnum() or text[start - 1] in "_."):
+        start -= 1
+    while start < end and text[start] == ".":
+        start += 1
+    return text[start:end]
+
+
 def _is_boundary(text: str, punct_end: int, abbreviations: FrozenSet[str]) -> bool:
-    """Decide whether the punctuation run ending at punct_end splits here."""
-    rest = text[punct_end:]
-    stripped = rest.lstrip()
-    if stripped == rest:          # no whitespace after the punctuation
+    """Decide whether the punctuation run ending at punct_end splits here.
+
+    Reads only the whitespace after the run and the word before it, so
+    the cost does not grow with the length of text.
+    """
+    n = len(text)
+    i = punct_end
+    while i < n and text[i].isspace():
+        i += 1
+    if i == punct_end:            # no whitespace after the punctuation
         return False
-    if not stripped:              # end of text
+    if i == n:                    # end of text
         return False
-    nxt = stripped[0]
-    if nxt in "\"'" and len(stripped) > 1:
-        nxt = stripped[1]
+    nxt = text[i]
+    if nxt in "\"'" and i + 1 < n:
+        nxt = text[i + 1]
     if not (nxt.isupper() or nxt.isdigit()):
         return False
     # Protect known abbreviations ("Dr.", "Fig.", "e.g.") when the run
     # is a single period.
     if text[punct_end - 1] == "." and (punct_end < 2 or text[punct_end - 2] != "."):
-        before = re.search(r"([\w][\w.]*)$", text[: punct_end - 1])
-        if before and before.group(1) in abbreviations:
+        if _token_before(text, punct_end - 1) in abbreviations:
             return False
     return True
 
@@ -70,7 +92,8 @@ def segment_sentences(text: str) -> List[Sentence]:
     Decimal numbers never split (no whitespace after the dot) and
     abbreviations from the packaged list are protected. Punctuation
     followed by a lowercase letter is treated as sentence-internal,
-    which errs on the side of keeping text together.
+    which errs on the side of keeping text together. The cost is linear
+    in the length of text.
     """
     if not text.strip():
         return []

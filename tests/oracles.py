@@ -3,14 +3,17 @@
 Nothing here imports the package under test. Distribution tails come
 from adaptive Simpson quadrature over the raw densities; score
 recounts work on plain JSON dicts; apportionment is rewritten from its
-definition. Agreement between these and the package is what the
-derived-value tests assert.
+definition; sentence segmentation is written directly with regexes.
+Agreement between these and the package is what the derived-value
+tests assert.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 
 def adaptive_simpson(f, a, b, tol=1e-13, max_depth=60):
@@ -137,3 +140,65 @@ def apportion_oracle(sizes, target):
     for k in ranked[:short]:
         result[k] += 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# Sentence segmentation written directly with regexes. It searches the
+# whole prefix at every period, so it is quadratic in the text length;
+# use it on short texts only.
+
+ABBREVIATIONS_FILE = (
+    Path(__file__).resolve().parents[1] / "src" / "dahl" / "data" / "abbreviations.txt"
+)
+
+
+def load_abbreviations_oracle():
+    lines = (line.strip() for line in ABBREVIATIONS_FILE.read_text(encoding="utf-8").splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
+
+
+_QUOTE_FOLD = str.maketrans({"\u2018": "'", "\u2019": "'", "\u201c": '"', "\u201d": '"'})
+
+
+def _normalize_key_oracle(text):
+    t = re.sub(r"\s+", " ", text.translate(_QUOTE_FOLD)).strip().casefold()
+    return t.rstrip("\"')]" + ".!?" + " ")
+
+
+def _is_boundary_oracle(text, punct_end, abbreviations):
+    rest = text[punct_end:]
+    stripped = rest.lstrip()
+    if stripped == rest:
+        return False
+    if not stripped:
+        return False
+    nxt = stripped[0]
+    if nxt in "\"'" and len(stripped) > 1:
+        nxt = stripped[1]
+    if not (nxt.isupper() or nxt.isdigit()):
+        return False
+    if text[punct_end - 1] == "." and (punct_end < 2 or text[punct_end - 2] != "."):
+        before = re.search(r"([\w][\w.]*)$", text[: punct_end - 1])
+        if before and before.group(1) in abbreviations:
+            return False
+    return True
+
+
+def segment_sentences_oracle(text):
+    """[(sentence text, normalized key)] as the regex-based segmenter gives them."""
+    if not text.strip():
+        return []
+    abbreviations = load_abbreviations_oracle()
+    cuts = [
+        m.end()
+        for m in re.finditer(r"[.!?]+", text)
+        if _is_boundary_oracle(text, m.end(), abbreviations)
+    ]
+    pieces = []
+    start = 0
+    for cut in cuts + [len(text)]:
+        piece = text[start:cut].strip()
+        if piece:
+            pieces.append((piece, _normalize_key_oracle(piece)))
+        start = cut
+    return pieces

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dahl.responses import (
@@ -18,6 +20,7 @@ from dahl.backends import MockBackend
 from dahl.types import GenConfig, Status
 
 from conftest import make_question, make_record
+from oracles import load_abbreviations_oracle, segment_sentences_oracle
 
 
 # Cleanup golden case: a response that echoes its prompt, repeats a
@@ -112,6 +115,15 @@ def test_segment_multi_punct_run_is_one_boundary():
 def test_segment_empty_and_whitespace():
     assert segment_sentences("") == []
     assert segment_sentences("   \n\t ") == []
+
+
+def test_segment_64kb_in_linear_time():
+    text = "Word word word. " * 4096
+    started = time.perf_counter()
+    got = segment_sentences(text)
+    elapsed = time.perf_counter() - started
+    assert len(got) == 4096
+    assert elapsed < 1.0, f"64 KB took {elapsed:.2f} s"
 
 
 def test_segment_unterminated_tail_is_kept_as_sentence():
@@ -303,3 +315,43 @@ def test_echo_strip_removes_prefix_or_nothing(prompt, rest):
     # either the prompt (plus following space) was removed or the raw
     # text came back untouched
     assert out == raw or len(out) <= len(rest)
+
+
+# Texts rich in what the boundary test looks at. Each candidate is a
+# separator, a word built from packaged abbreviations, word characters
+# and dots, what sits between the word and the punctuation (a newline
+# included), a punctuation run, the whitespace after it, an optional
+# quote or closer, and the next character. Free pieces fill the gaps.
+_ABBREVIATIONS = sorted(load_abbreviations_oracle())
+_WORD_PARTS = [".", "..", "_", "x", "3", "\u00e9", "e\u0301", "\u4e2d", "\u0663", "\u00b2"]
+_LEAD = [" ", "", "\n", "(", '"', "."]
+_GLUE = ["", "", "", "\n", "\n\n", " ", "_"]
+_PUNCT = [".", ".", ".", "..", "...", "!", "?", "?!", ".!", "?."]
+_SPACE = [" ", "", "  ", "\n", "\t", "\r\n", "\u00a0", "\u2003"]
+_OPENER = ["", "", '"', "'", "\u201d", ")"]
+_START = [
+    "A", "A", "7", "a", "\u0663", "\u00b2", "\u00c9", "\u00e9", "\u00df", "\u01c5",
+    "\u216b", "_", "\u4e2d", "\u0301", "",
+]
+_WORD = st.tuples(
+    st.lists(st.sampled_from(_WORD_PARTS + _ABBREVIATIONS), max_size=2).map("".join),
+    st.sampled_from(_ABBREVIATIONS + _WORD_PARTS),
+).map("".join)
+_CANDIDATE = st.tuples(
+    st.sampled_from(_LEAD),
+    _WORD,
+    *(st.sampled_from(part) for part in (_GLUE, _PUNCT, _SPACE, _OPENER, _START)),
+)
+_FREE = st.sampled_from(
+    _ABBREVIATIONS + _WORD_PARTS + _LEAD + _GLUE + _PUNCT + _SPACE + _OPENER + _START
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@example("Dr\n. Smith")
+@example("a _Dr. Smith")
+@example("..Fig. 2")
+@given(st.lists(st.one_of(_CANDIDATE.map("".join), _FREE), max_size=16).map("".join))
+def test_segment_equals_regex_oracle(text):
+    got = [(s.text, s.normalized_key) for s in segment_sentences(text)]
+    assert got == segment_sentences_oracle(text)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,33 @@ def test_unmarked_lines_continue_previous_item():
     assert parse_list_output(raw) == [
         "A long claim that wraps onto the next line.",
         "Second.",
+    ]
+
+
+def test_many_continuation_lines_parse_in_linear_time():
+    lines = [f"continuation {i}" for i in range(100_000)]
+    raw = "1. Head of the item\n" + "\n".join(lines)
+    started = time.perf_counter()
+    got = parse_list_output(raw)
+    elapsed = time.perf_counter() - started
+    assert got == ["Head of the item " + " ".join(lines)]
+    assert elapsed < 2.0, f"100k continuation lines took {elapsed:.2f} s"
+
+
+def test_mixed_marked_bare_and_blank_lines():
+    raw = (
+        "Preamble line.\n\n1. First item\ncontinues here\n   \n-  Second item  \n"
+        "\tindented continuation\n2) \nonly continuation\n* \n• Third\n"
+        "3.5 is not a marker\n\n10. Last."
+    )
+    # An empty marked item is dropped, unless a continuation line gives
+    # it text, which then keeps the joining space in front.
+    assert parse_list_output(raw) == [
+        "First item continues here",
+        "Second item indented continuation",
+        " only continuation",
+        "Third 3.5 is not a marker",
+        "Last.",
     ]
 
 
