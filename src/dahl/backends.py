@@ -248,14 +248,13 @@ class TokenBucket:
     def __init__(
         self,
         rate_per_second: float,
-        burst: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         if rate_per_second <= 0:
             raise ValueError("rate_per_second must be positive")
         self._rate = rate_per_second
-        self._capacity = max(1.0, burst if burst is not None else rate_per_second)
+        self._capacity = max(1.0, rate_per_second)
         self._tokens = self._capacity
         self._clock = clock
         self._sleep = sleeper

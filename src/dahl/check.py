@@ -40,7 +40,6 @@ def check_unit(
     unit_text: str,
     backend: Backend,
     prompt_template: Optional[str] = None,
-    gen_config: GenConfig = CHECKER_GEN,
 ) -> tuple:
     """One checker call for one unit. Returns (verdict, raw reply).
 
@@ -51,7 +50,7 @@ def check_unit(
         raise ValueError("unit text must be non-empty")
     prompt = defaults.fill_template("checker", prompt_template, unit=unit_text)
     request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
+        backend_id=backend.backend_id, user_prompt=prompt, gen_config=CHECKER_GEN
     )
     resp = backend.complete(request)
     return parse_checker_output(resp.text), resp.text
@@ -61,7 +60,6 @@ def check_response(
     record: EvalRecord,
     backend: Backend,
     prompt_template: Optional[str] = None,
-    gen_config: GenConfig = CHECKER_GEN,
 ) -> EvalRecord:
     """Attach a verdict to every unit of a split record, in place.
 
@@ -75,7 +73,7 @@ def check_response(
     failures = []
     for unit in record.units:
         try:
-            verdict, reply = check_unit(unit.text, backend, prompt_template, gen_config)
+            verdict, reply = check_unit(unit.text, backend, prompt_template)
         except BackendError as exc:
             failures.append(f"unit {unit.index}: {exc}")
             continue

@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--questions", required=True, help="questions.jsonl")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--resume", action="store_true", help="continue from the records file")
+    p.add_argument("--resume", action="store_true", help="continue from records.jsonl and journal")
     p.add_argument("--stop-after", choices=STAGES, help="halt after this stage (for testing)")
     p.add_argument("--temperature", type=float, help="override generation temperature")
     p.add_argument("--max-tokens", type=int, help="override generation token budget")

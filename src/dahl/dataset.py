@@ -131,7 +131,6 @@ def generate_questions(
     backend: Backend,
     prompt_template: Optional[str] = None,
     questions_per_doc: int = 5,
-    gen_config: GenConfig = GENERATOR_GEN,
 ) -> List[str]:
     """Ask the generator for candidate questions about one document.
 
@@ -148,7 +147,7 @@ def generate_questions(
         n=str(questions_per_doc),
     )
     request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
+        backend_id=backend.backend_id, user_prompt=prompt, gen_config=GENERATOR_GEN
     )
     resp = backend.complete(request)
 
@@ -236,7 +235,6 @@ def categorize(
     backend: Backend,
     category_set: CategorySet,
     prompt_template: Optional[str] = None,
-    gen_config: GenConfig = CATEGORIZER_GEN,
 ) -> CategorizeResult:
     """One categorizer call for one question text."""
     prompt = defaults.fill_template(
@@ -246,7 +244,7 @@ def categorize(
         labels="\n".join(f"- {label}" for label in category_set),
     )
     request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
+        backend_id=backend.backend_id, user_prompt=prompt, gen_config=CATEGORIZER_GEN
     )
     resp = backend.complete(request)
     return resolve_category_reply(resp.text, category_set)
@@ -291,7 +289,6 @@ def build_dataset(
     question_prompt: Optional[str] = None,
     categorizer_prompt: Optional[str] = None,
     concurrency: int = 4,
-    gen_config: GenConfig = GENERATOR_GEN,
 ) -> Tuple[List[Question], List[Question], BuildReport]:
     """Run the full construction pipeline over a corpus.
 
@@ -306,7 +303,7 @@ def build_dataset(
     def generate(doc: SourceDocument):
         try:
             return doc, generate_questions(
-                doc, generator_backend, question_prompt, questions_per_doc, gen_config
+                doc, generator_backend, question_prompt, questions_per_doc
             )
         except (BackendError, ValueError) as exc:
             return doc, exc

@@ -1,8 +1,8 @@
-"""Evaluation pipeline: stage barriers, resume, temperature ablation.
+"""Evaluation pipeline: one task per question, journaled resume, temperature ablation.
 
-Each stage maps over exactly the records whose status names its input,
-then the whole records file is rewritten atomically. Interrupting
-after any stage and rerunning with resume therefore reproduces the
+Each finished record is appended to a journal (flushed, not fsynced);
+at the end the records file is written once, atomically. Resume reads
+both, so interrupting at any point and resuming reproduces the
 uninterrupted run byte for byte: record order follows the questions
 file, serialization is key-sorted, and nothing time-dependent is ever
 persisted.
@@ -11,16 +11,19 @@ persisted.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from . import defaults
 from .backends import Backend
 from .check import check_response
-from .records import atomic_write_text, read_eval_records, write_records
+from .records import atomic_write_text, dumps_compact, read_eval_records, write_records
 from .responses import generate_response, preprocess, render_question_prompt
 from .score import dahl_score, render_report
 from .split import split_into_units
@@ -48,6 +51,25 @@ def write_report_files(report: ScoreReport, out_dir: str) -> None:
         )
 
 
+def _check_manifest(path: str, manifest: dict, resume: bool) -> None:
+    """Refuse a resume whose settings differ from the run it continues.
+
+    A run with no manifest yet (a fresh run, or one written before
+    manifests existed) gets one.
+    """
+    if resume and os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            previous = json.load(fh)
+        for field in sorted(set(previous) | set(manifest)):
+            if previous.get(field) != manifest.get(field):
+                raise PipelineError(
+                    f"cannot resume: {field} was {previous.get(field)!r}, now "
+                    f"{manifest.get(field)!r} (see {path})"
+                )
+        return
+    atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
 def run_evaluation(
     questions: Sequence[Question],
     out_dir: str,
@@ -59,22 +81,23 @@ def run_evaluation(
     resume: bool = False,
     stop_after: Optional[str] = None,
     concurrency: int = 4,
-    records_name: str = "records.jsonl",
 ) -> EvaluationResult:
     """Run generate -> preprocess -> split -> check -> score.
 
-    With resume, records already past a stage are left alone and
-    records whose question is no longer asked are written back
-    unchanged; without it, any existing records file is ignored and
-    overwritten. stop_after ends the run after the named stage's
-    barrier write, which is how interrupts are simulated in tests.
+    Each question is one pool task that applies every step whose input
+    status its record has, up to stop_after (how tests simulate an
+    interrupt). With resume, records already past a step are left
+    alone, records of questions no longer asked are written back
+    unchanged, and changed settings raise PipelineError; without it,
+    existing records are ignored and overwritten.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise PipelineError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
     if not questions:
         raise PipelineError("no questions to evaluate")
     ids = [q.question_id for q in questions]
-    if len(set(ids)) != len(ids):
+    known = set(ids)
+    if len(known) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise PipelineError(f"duplicate question ids: {dupes}")
     prompts = prompts or {}
@@ -83,10 +106,20 @@ def run_evaluation(
     check_template = prompts.get("checker")
 
     os.makedirs(out_dir, exist_ok=True)
-    records_path = os.path.join(out_dir, records_name)
+    records_path = os.path.join(out_dir, "records.jsonl")
+    journal_path = os.path.join(out_dir, "records.journal.jsonl")
+    manifest = {
+        "generator_model": generator.model,
+        "splitter_model": splitter.model,
+        "checker_model": checker.model,
+        "gen_config": gen_config.to_dict(),
+    }
+    for name in ("response_generation", "splitter", "checker"):
+        template = defaults.fill_template(name, prompts.get(name))
+        manifest[f"{name}_prompt_sha256"] = hashlib.sha256(template.encode("utf-8")).hexdigest()
+    _check_manifest(os.path.join(out_dir, "run_manifest.json"), manifest, resume)
 
     existing: Dict[str, EvalRecord] = {}
-    orphans: List[EvalRecord] = []
     if resume and os.path.exists(records_path):
         loaded, diagnostics = read_eval_records(records_path)
         if diagnostics:
@@ -94,52 +127,59 @@ def run_evaluation(
                 f"cannot resume from {records_path}: {diagnostics[0]}"
                 + (f" (+{len(diagnostics) - 1} more)" if len(diagnostics) > 1 else "")
             )
-        known = set(ids)
-        for record in loaded:
-            if record.question_id in known:
-                existing[record.question_id] = record
-            else:
-                # Never silently drop data on resume; carry strays along.
-                orphans.append(record)
+        existing = {r.question_id: r for r in loaded}
+    if resume and os.path.exists(journal_path):
+        # A line torn by a crash does not parse and is skipped.
+        existing.update((r.question_id, r) for r in read_eval_records(journal_path)[0])
+    if not resume and os.path.exists(records_path):
+        os.remove(records_path)  # so a crash leaves nothing from another run to resume
+    # Never silently drop data on resume; carry strays along unchanged.
+    orphans = [r for qid, r in existing.items() if qid not in known]
+
+    # Steps on (record, question text) in STAGES order, cut at stop_after. Their functions
+    # are looked up at call time, so rebinding them on this module (as a tracer does) works.
+    steps = (
+        (Status.PENDING, lambda r, q: preprocess(r, render_question_prompt(q, response_template))),
+        (Status.PREPROCESSED, lambda r, _: split_into_units(r, splitter, split_template)),
+        (Status.SPLIT, lambda r, _: check_response(r, checker, check_template)),
+    )[: STAGES.index(stop_after or "score")]
+
+    def advance(question: Question) -> EvalRecord:
+        record = existing.get(question.question_id)
+        if record is None:
+            record = generate_response(question, generator, gen_config, response_template)
+        for status, step in steps:
+            if record.status is status:
+                step(record, question.text)
+        return record
 
     pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
+    futures = [pool.submit(advance, q) for q in questions]
     try:
-        # Stage: generate. Only questions with no record at all.
-        def generate(question: Question) -> EvalRecord:
-            return generate_response(question, generator, gen_config, response_template)
-
-        missing = [q for q in questions if q.question_id not in existing]
-        for question, record in zip(missing, pool.map(generate, missing)):
-            existing[question.question_id] = record
-        current = [existing[q.question_id] for q in questions]
-        records = current + orphans
-        write_records(records, records_path)
-        if stop_after == "generate":
-            return EvaluationResult(records, None, records_path)
-
-        # The step functions are looked up at call time, so rebinding
-        # them on this module (as a tracer does) takes effect.
-        prompt_by_id = {
-            q.question_id: render_question_prompt(q.text, response_template) for q in questions
-        }
-        steps = (
-            ("preprocess", Status.PENDING, lambda r: preprocess(r, prompt_by_id[r.question_id])),
-            ("split", Status.PREPROCESSED, lambda r: split_into_units(r, splitter, split_template)),
-            ("check", Status.SPLIT, lambda r: check_response(r, checker, check_template)),
-        )
-        for stage, status, step in steps:
-            # Orphans carried along on resume are never advanced.
-            list(pool.map(step, [r for r in current if r.status is status]))
-            write_records(records, records_path)
-            if stop_after == stage:
-                return EvaluationResult(records, None, records_path)
+        with open(journal_path, "a" if resume else "w", encoding="utf-8") as journal:
+            journal.write("\n")  # ends a torn last line; blank lines are skipped
+            for future in as_completed(futures):
+                if not future.cancelled() and future.exception() is None:
+                    journal.write(dumps_compact(future.result().to_dict()) + "\n")
+                    journal.flush()
+                elif not future.cancelled():
+                    # Not pool.shutdown(cancel_futures=True): it hangs as_completed.
+                    for pending in futures:
+                        pending.cancel()
     finally:
-        pool.shutdown(wait=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
-    # Stage: score. Orphans stay out of the report.
-    report = dahl_score(current)
-    write_records(records, records_path)
-    write_report_files(report, out_dir)
+    # Raises the first task exception; tasks start in order, so none cancelled precedes it.
+    current = [f.result() for f in futures]
+    records = current + orphans
+    try:
+        # Orphans stay out of the report.
+        report = dahl_score(current) if stop_after in (None, "score") else None
+    finally:
+        write_records(records, records_path)
+        os.remove(journal_path)
+    if report is not None:
+        write_report_files(report, out_dir)
     return EvaluationResult(records, report, records_path)
 
 

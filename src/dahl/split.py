@@ -32,7 +32,6 @@ def split_into_units(
     record: EvalRecord,
     backend: Backend,
     prompt_template: Optional[str] = None,
-    gen_config: GenConfig = SPLITTER_GEN,
 ) -> EvalRecord:
     """Attach atomic units to a preprocessed record, in place.
 
@@ -45,7 +44,7 @@ def split_into_units(
         raise ValueError("split requires non-empty preprocessed text")
     prompt = defaults.fill_template("splitter", prompt_template, response=record.preprocessed)
     request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
+        backend_id=backend.backend_id, user_prompt=prompt, gen_config=SPLITTER_GEN
     )
     try:
         resp = backend.complete(request)

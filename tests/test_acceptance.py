@@ -16,7 +16,7 @@ import time
 import pytest
 
 import oracles
-from conftest import make_record
+from factories import make_record
 from test_preprocess import GOLDEN_CLEAN, GOLDEN_PROMPT, GOLDEN_RAW
 from test_scoring import _random_fixture
 

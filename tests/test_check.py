@@ -6,7 +6,7 @@ from dahl.backends import MockBackend
 from dahl.check import check_response, check_unit, parse_checker_output
 from dahl.types import Status, Verdict
 
-from conftest import make_record
+from factories import make_record
 
 
 @pytest.mark.parametrize(

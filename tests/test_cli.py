@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from conftest import make_record
+from factories import make_record
 from dahl.cli import main
 from dahl.records import read_eval_records, read_questions, write_records
 from dahl.stats import f_test_equal_variance, pearson, t_test
@@ -138,6 +138,24 @@ def test_evaluate_stop_after_then_resume_matches_straight_run(
     assert code == 0
     for name in ("records.jsonl", "report.json"):
         assert (stepped / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_evaluate_resume_at_another_temperature_is_refused(
+    tmp_path, capsys, config_path, questions_path
+):
+    out = str(tmp_path / "out")
+    argv = ["evaluate", "--config", config_path, "--questions", questions_path, "--out", out]
+    code, _, _ = run_cli(capsys, argv + ["--temperature", "0.2", "--stop-after", "generate"])
+    assert code == 0
+    before = (tmp_path / "out" / "records.jsonl").read_bytes()
+
+    code, stdout, stderr = run_cli(capsys, argv + ["--temperature", "0.9", "--resume"])
+
+    assert code == 1
+    assert stdout == ""
+    assert "cannot resume: gen_config was" in stderr and "'temperature': 0.9" in stderr
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() == before
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_evaluate_temperature_override_changes_generations(

@@ -24,7 +24,7 @@ from dahl.dataset import (
 from dahl.defaults import load_category_set
 from dahl.types import Question, ReviewOverride, SourceDocument
 
-from conftest import make_question
+from factories import make_question
 
 RULES = load_filter_rules()
 CATEGORIES = load_category_set()

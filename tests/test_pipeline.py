@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import itertools
+import json
+
+import pytest
 import requests
 
 from dahl.backends import BackendSpec, HttpBackend, MockBackend, RetryPolicy
-from dahl.pipeline import run_evaluation
+from dahl.pipeline import PipelineError, run_evaluation
+from dahl.score import NoScorableResponsesError
 from dahl.types import GenConfig, Status
 
-from conftest import make_question
+from factories import make_question
 
 
 QUESTIONS = [
@@ -16,16 +21,48 @@ QUESTIONS = [
 ]
 
 
-def _backends():
-    generator = MockBackend(default="Allopurinol is used. Colchicine helps too.")
+ANSWER = "Allopurinol is used. Colchicine helps too."
+SIX = [make_question(qid=f"q-{i}", text=f"What is the treatment for case {i}?") for i in range(6)]
+OUTPUTS = ("records.jsonl", "report.json", "report.csv", "report.md")
+
+
+def _backends(checker_model="mock-model"):
+    generator = MockBackend(default=ANSWER)
     splitter = MockBackend(default="1. Allopurinol is used.\n2. Colchicine helps too.")
-    checker = MockBackend(default="True")
+    checker = MockBackend(default="True", model=checker_model)
     return generator, splitter, checker
 
 
-def _run(out_dir, questions, generator, splitter, checker, **kwargs):
+def _dying_generator(k):
+    """A generator that raises RuntimeError from its k-th call on."""
+    calls = itertools.count(1)
+
+    def reply(request):
+        if next(calls) >= k:
+            raise RuntimeError("generator process died")
+        return ANSWER
+
+    return MockBackend(default=reply)
+
+
+def _journaled(out_dir):
+    """Question ids of the journal lines that parse."""
+    ids = set()
+    for line in (out_dir / "records.journal.jsonl").read_text(encoding="utf-8").splitlines():
+        try:
+            ids.add(json.loads(line)["question_id"])
+        except ValueError:
+            pass
+    return ids
+
+
+def _same_outputs(a, b):
+    return all((a / name).read_bytes() == (b / name).read_bytes() for name in OUTPUTS)
+
+
+def _run(out_dir, questions, generator, splitter, checker, gen_config=GenConfig(), **kwargs):
     return run_evaluation(
-        questions, str(out_dir), generator, splitter, checker, GenConfig(), **kwargs
+        questions, str(out_dir), generator, splitter, checker, gen_config, **kwargs
     )
 
 
@@ -89,3 +126,91 @@ def test_transport_error_fails_the_record_and_the_run_completes(tmp_path):
     assert [r.status for r in result.records] == [Status.SCORED, Status.SCORED, Status.FAILED]
     assert "ChunkedEncodingError" in result.records[2].error
     assert result.report is not None and result.report.n_scored == 2
+
+
+def test_crash_keeps_finished_records_and_resume_repeats_only_the_rest(tmp_path):
+    _run(tmp_path / "straight", SIX, *_backends())
+    out = tmp_path / "out"
+    _, splitter, checker = _backends()
+
+    with pytest.raises(RuntimeError, match="generator process died"):
+        _run(out, SIX, _dying_generator(3), splitter, checker, concurrency=1)
+
+    assert not (out / "records.jsonl").exists()
+    assert _journaled(out) == {"q-0", "q-1"}
+    generator, splitter, checker = _backends()
+    _run(out, SIX, generator, splitter, checker, resume=True)
+    assert (generator.calls, splitter.calls, checker.calls) == (4, 4, 8)
+    assert _same_outputs(out, tmp_path / "straight")
+    assert not (out / "records.journal.jsonl").exists()
+
+
+def test_torn_journal_line_is_skipped_and_its_question_redone(tmp_path):
+    _run(tmp_path / "straight", SIX, *_backends())
+    out = tmp_path / "out"
+    journal = out / "records.journal.jsonl"
+    _, splitter, checker = _backends()
+    with pytest.raises(RuntimeError):
+        _run(out, SIX, _dying_generator(2), splitter, checker, concurrency=1)
+    assert _journaled(out) == {"q-0"}
+    journal.write_bytes(journal.read_bytes()[:-20])  # a crash mid-line
+
+    # q-0 is redone and appended after the torn line, then the run dies
+    # again; its new line must survive.
+    with pytest.raises(RuntimeError):
+        _run(out, SIX, _dying_generator(2), splitter, checker, resume=True, concurrency=1)
+    assert _journaled(out) == {"q-0"}
+    generator, splitter, checker = _backends()
+    _run(out, SIX, generator, splitter, checker, resume=True)
+    assert generator.calls == 5
+    assert _same_outputs(out, tmp_path / "straight")
+
+
+def test_fresh_run_that_crashes_leaves_no_older_records_to_resume(tmp_path):
+    _run(tmp_path, SIX, *_backends())
+    hot = GenConfig(temperature=0.9)
+    _, splitter, checker = _backends()
+    with pytest.raises(RuntimeError):
+        _run(tmp_path, SIX, _dying_generator(3), splitter, checker, hot, concurrency=1)
+
+    generator, splitter, checker = _backends()
+    result = _run(tmp_path, SIX, generator, splitter, checker, hot, resume=True)
+
+    assert generator.calls == 4
+    assert {r.gen_config.temperature for r in result.records} == {0.9}
+
+
+def test_run_with_nothing_scorable_still_writes_records_and_drops_journal(tmp_path):
+    generator, splitter, _ = _backends()
+    checker = MockBackend(default="Unknown")
+
+    with pytest.raises(NoScorableResponsesError):
+        _run(tmp_path, QUESTIONS, generator, splitter, checker)
+
+    lines = (tmp_path / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["status"] for line in lines] == ["excluded_unknown"] * 3
+    assert not (tmp_path / "records.journal.jsonl").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_resume_refuses_a_changed_checker_model(tmp_path):
+    _run(tmp_path, QUESTIONS, *_backends(checker_model="checker-a"), stop_after="split")
+    before = (tmp_path / "records.jsonl").read_bytes()
+
+    with pytest.raises(PipelineError, match="checker_model was 'checker-a', now 'checker-b'"):
+        _run(tmp_path, QUESTIONS, *_backends(checker_model="checker-b"), resume=True)
+    assert (tmp_path / "records.jsonl").read_bytes() == before
+
+
+def test_resume_of_a_run_without_manifest_writes_one_and_continues(tmp_path):
+    _run(tmp_path / "straight", QUESTIONS, *_backends())
+    out = tmp_path / "out"
+    _run(out, QUESTIONS, *_backends(), stop_after="generate")
+    (out / "run_manifest.json").unlink()
+
+    _run(out, QUESTIONS, *_backends(), resume=True)
+
+    assert (out / "run_manifest.json").read_bytes() == (
+        tmp_path / "straight" / "run_manifest.json"
+    ).read_bytes()
+    assert _same_outputs(out, tmp_path / "straight")

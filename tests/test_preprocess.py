@@ -19,7 +19,7 @@ from dahl.responses import (
 from dahl.backends import MockBackend
 from dahl.types import GenConfig, Status
 
-from conftest import make_question, make_record
+from factories import make_question, make_record
 from oracles import load_abbreviations_oracle, segment_sentences_oracle
 
 

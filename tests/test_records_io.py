@@ -17,7 +17,7 @@ from dahl.records import (
 )
 from dahl.types import Question, SourceDocument, Status, Verdict
 
-from conftest import make_record
+from factories import make_record
 
 
 def test_round_trip_preserves_records(tmp_path):

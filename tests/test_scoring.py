@@ -18,7 +18,7 @@ from dahl.score import (
 from dahl.types import CategoryScore, ScoreReport, Status, Verdict
 
 import oracles
-from conftest import make_record
+from factories import make_record
 
 
 def test_response_precision_basic():

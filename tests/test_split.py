@@ -11,7 +11,7 @@ from dahl.listparse import parse_list_output
 from dahl.split import SplitParseError, parse_splitter_output, split_into_units, validate_units
 from dahl.types import AtomicUnit, Status
 
-from conftest import make_record
+from factories import make_record
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dahl.types import (
     validate_record,
 )
 
-from conftest import make_record, make_units
+from factories import make_record, make_units
 
 
 def test_verdict_round_trip():
