@@ -5,8 +5,9 @@ Four layers, composable from the inside out:
   HttpBackend        talks JSON to a chat-completion endpoint with
                      retries (exponential backoff plus jitter)
   ThrottledBackend   caps in-flight calls and request rate
-  CachedBackend      content-addressed on-disk cache keyed by the
-                     request, so reruns and resumes cost nothing
+  CachedBackend      response cache in one SQLite file, keyed by a
+                     hash of the request (and the endpoint, for HTTP),
+                     so reruns and resumes cost nothing
   MockBackend        deterministic offline stand-in for tests
 
 Auth tokens come only from environment variables named in the
@@ -16,9 +17,9 @@ BackendSpec; they never appear in config files or on disk.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Protocol, Sequence, Tuple, Union, runtime
 
 import requests
 
-from .records import atomic_write_text, dumps_compact
+from .records import dumps_compact
 from .types import GenConfig
 
 
@@ -304,11 +305,12 @@ class ThrottledBackend:
             return self._inner.complete(req)
 
 
-def cache_key(req: ChatRequest, model: str) -> str:
+def cache_key(req: ChatRequest, model: str, endpoint: Optional[str] = None) -> str:
     """Content hash identifying a request for caching purposes."""
     material = dumps_compact(
         {
             "backend_id": req.backend_id,
+            "endpoint": endpoint,
             "max_tokens": req.gen_config.max_tokens,
             "model": model,
             "seed": req.gen_config.seed,
@@ -321,50 +323,46 @@ def cache_key(req: ChatRequest, model: str) -> str:
 
 
 class CachedBackend:
-    """On-disk response cache in front of another backend.
+    """Response cache in front of another backend.
 
-    One JSON file per key under cache_dir/<first two hex>/<key>.json.
-    A file whose stored key disagrees with its expected key, or that
-    does not parse, counts as a miss and is overwritten.
+    One SQLite file, cache_dir/cache.sqlite, maps cache_key (request,
+    model and, for HTTP backends, endpoint) to the reply. WAL with
+    synchronous=NORMAL: a crash can lose the last entries, which only
+    costs misses. A row whose text or finish_reason is not a str is a
+    miss and gets overwritten; failures are never stored.
     """
 
-    def __init__(self, inner: Backend, cache_dir: str) -> None:
+    def __init__(self, inner: Backend, cache_dir: str, endpoint: Optional[str] = None) -> None:
         self._inner = inner
         self.backend_id = inner.backend_id
         self.model = inner.model
-        self._dir = cache_dir
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self._dir, key[:2], f"{key}.json")
-
-    def _load(self, key: str) -> Optional[ChatResponse]:
-        path = self._path(key)
+        self._endpoint = endpoint
+        self._lock = threading.Lock()
+        os.makedirs(cache_dir, exist_ok=True)
+        path = os.path.join(cache_dir, "cache.sqlite")
+        self._db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
-            return None
-        text = entry.get("text")
-        finish = entry.get("finish_reason")
-        if not isinstance(text, str) or not isinstance(finish, str):
-            return None
-        return ChatResponse(
-            text=text, finish_reason=finish, latency_ms=0, from_cache=True, attempts=0
-        )
-
-    def _store(self, key: str, resp: ChatResponse) -> None:
-        entry = {"finish_reason": resp.finish_reason, "key": key, "text": resp.text}
-        atomic_write_text(self._path(key), dumps_compact(entry) + "\n")
+            self._db.executescript(
+                "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
+                " responses (key TEXT PRIMARY KEY, text, finish_reason) WITHOUT ROWID;"
+            )
+        except sqlite3.DatabaseError as exc:
+            self._db.close()
+            raise ValueError(f"response cache {path}: {exc}") from exc
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        key = cache_key(req, self.model)
-        hit = self._load(key)
-        if hit is not None:
-            return hit
+        key = cache_key(req, self.model, self._endpoint)
+        with self._lock:
+            row = self._db.execute(
+                "SELECT text, finish_reason FROM responses WHERE key = ?", (key,)
+            ).fetchone()
+        if row and isinstance(row[0], str) and isinstance(row[1], str):
+            return ChatResponse(row[0], row[1], latency_ms=0, from_cache=True, attempts=0)
         resp = self._inner.complete(req)
-        self._store(key, resp)
+        with self._lock:
+            self._db.execute(
+                "REPLACE INTO responses VALUES (?, ?, ?)", (key, resp.text, resp.finish_reason)
+            )
         return resp
 
 
@@ -426,5 +424,5 @@ def build_http_backend(spec: BackendSpec, cache_dir: Optional[str] = None) -> Ba
         backend, spec.max_concurrency, requests_per_second=spec.requests_per_second
     )
     if cache_dir:
-        backend = CachedBackend(backend, cache_dir)
+        backend = CachedBackend(backend, cache_dir, endpoint=spec.endpoint)
     return backend

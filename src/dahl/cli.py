@@ -135,11 +135,14 @@ def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
                     continue
                 obj = json.loads(line)
                 try:
-                    scores[str(obj["question_id"])] = float(obj["score"])
+                    qid, score = str(obj["question_id"]), float(obj["score"])
                 except (KeyError, TypeError, ValueError):
                     raise ValueError(
                         f"{path}: line {line_no} needs question_id and numeric score"
                     ) from None
+                if qid in scores:
+                    raise ValueError(f"{path}: line {line_no} repeats question_id {qid!r}")
+                scores[qid] = score
         if not scores:
             raise ValueError(f"{path}: no scores found")
         return scores
@@ -163,6 +166,8 @@ def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
                     f"{path}: row {row_no} has {len(values)} score columns; "
                     "pass --mean to average annotators"
                 )
+            if qid in scores:
+                raise ValueError(f"{path}: row {row_no} repeats question_id {qid!r}")
             scores[qid] = sum(values) / len(values)
     if not scores:
         raise ValueError(f"{path}: no scores found")

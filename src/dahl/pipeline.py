@@ -18,7 +18,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import defaults
 from .backends import Backend
@@ -206,8 +206,10 @@ def run_temperature_ablation(
 
     The sample is drawn once and reused, so temperature is the only
     factor that varies between rows. Temperatures above 1.0 are
-    refused unless explicitly allowed. Writes ablation.csv under
-    out_dir and returns the rows.
+    refused unless explicitly allowed, and so are cells whose run
+    directories would collide (generators "org/m" and "org_m" both map
+    to runs/org_m_t<temp>). Writes ablation.csv under out_dir and
+    returns the rows.
     """
     if not temperatures:
         raise PipelineError("at least one temperature is required")
@@ -220,41 +222,50 @@ def run_temperature_ablation(
             "(pass allow_high_temperatures to override)"
         )
 
+    cells: Dict[str, Tuple[Backend, float]] = {}
+    for generator in generators:
+        for temperature in temperatures:
+            run_name = f"{_sanitize(generator.model)}_t{temperature:g}"
+            if run_name in cells:
+                other, other_temperature = cells[run_name]
+                raise PipelineError(
+                    f"ablation cells ({other.model!r}, {other_temperature:g}) and "
+                    f"({generator.model!r}, {temperature:g}) would share run directory "
+                    f"runs/{run_name}"
+                )
+            cells[run_name] = (generator, temperature)
+
     sample = stratified_sample(questions, fraction, seed)
     if not sample:
         raise PipelineError("stratified sample is empty")
 
     rows: List[dict] = []
-    for generator in generators:
-        for temperature in temperatures:
-            gen_config = GenConfig(
-                temperature=temperature,
-                max_tokens=base_gen_config.max_tokens,
-                seed=base_gen_config.seed,
-            )
-            run_dir = os.path.join(
-                out_dir, "runs", f"{_sanitize(generator.model)}_t{temperature:g}"
-            )
-            result = run_evaluation(
-                sample,
-                run_dir,
-                generator,
-                splitter,
-                checker,
-                gen_config,
-                prompts=prompts,
-                resume=resume,
-                concurrency=concurrency,
-            )
-            assert result.report is not None
-            rows.append(
-                {
-                    "model": generator.model,
-                    "temperature": temperature,
-                    "dahl_score": result.report.dahl_score,
-                    "n_scored": result.report.n_scored,
-                }
-            )
+    for run_name, (generator, temperature) in cells.items():
+        gen_config = GenConfig(
+            temperature=temperature,
+            max_tokens=base_gen_config.max_tokens,
+            seed=base_gen_config.seed,
+        )
+        result = run_evaluation(
+            sample,
+            os.path.join(out_dir, "runs", run_name),
+            generator,
+            splitter,
+            checker,
+            gen_config,
+            prompts=prompts,
+            resume=resume,
+            concurrency=concurrency,
+        )
+        assert result.report is not None
+        rows.append(
+            {
+                "model": generator.model,
+                "temperature": temperature,
+                "dahl_score": result.report.dahl_score,
+                "n_scored": result.report.n_scored,
+            }
+        )
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -114,8 +114,6 @@ def read_questions(path: str, category_set: Optional[CategorySet] = None):
             violations.append(
                 f"category {q.category!r} is not one of the {len(category_set)} configured labels"
             )
-        if q.kept and q.filter_trace and q.review_override.value != "force_keep":
-            violations.append("kept question carries filter matches without force_keep")
         return violations
 
     return _read_typed(path, Question.from_dict, check)

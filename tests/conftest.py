@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def disable_network(monkeypatch):
-    """Fail fast if anything opens a socket during the test."""
+    """Fail fast if any test in this directory opens a socket."""
     import socket
 
     def guard(*args, **kwargs):

@@ -1,8 +1,8 @@
 """Release gate: nine end-to-end checks, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
-Every check runs fully offline; the disable_network fixture turns any
-socket use into a test failure.
+Every check runs fully offline; the autouse disable_network fixture in
+conftest.py turns any socket use into a test failure.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 import os
 import random
 import time
-
-import pytest
 
 import oracles
 from factories import make_record
@@ -38,9 +36,6 @@ from dahl.responses import preprocess
 from dahl.score import dahl_score, precision_by_question
 from dahl.stats import pearson, reg_inc_beta, stratified_sample, t_sf_two_tailed, t_test
 from dahl.types import GenConfig, Question, ReviewOverride, Status
-
-
-pytestmark = pytest.mark.usefixtures("disable_network")
 
 
 def _verdict(number: int, name: str, checks, detail: str = "") -> None:

@@ -3,9 +3,13 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
+import sqlite3
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 import requests
@@ -84,7 +88,7 @@ def test_chat_request_rejects_empty_prompt():
         ChatRequest(backend_id="b", user_prompt="", gen_config=GenConfig())
 
 
-def test_http_success_first_try(disable_network):
+def test_http_success_first_try():
     session = FakeSession([FakeResponse(200, ok_payload("Hi there.", "length"))])
     backend = HttpBackend(spec(), session=session, sleeper=lambda s: None)
     resp = backend.complete(request())
@@ -291,6 +295,7 @@ def test_cache_key_depends_on_every_field():
     assert k != cache_key(request("prompt A", temperature=0.2, max_tokens=11, seed=1), "model-x")
     assert k != cache_key(request("prompt A", temperature=0.2, max_tokens=10, seed=2), "model-x")
     assert k != cache_key(base, "model-y")
+    assert k != cache_key(base, "model-x", "http://b.test/v1/chat")
     assert k != cache_key(
         request("prompt A", temperature=0.2, max_tokens=10, seed=1, system="S"), "model-x"
     )
@@ -318,13 +323,26 @@ def test_cache_misses_on_different_temperature(tmp_path):
     assert inner.calls == 2
 
 
-def test_cache_layout_uses_key_prefix_shards(tmp_path):
-    inner = MockBackend(default="x", model="m")
-    cached = CachedBackend(inner, str(tmp_path))
-    req = request("sharded")
-    cached.complete(req)
-    key = cache_key(req, "m")
-    assert os.path.exists(tmp_path / key[:2] / f"{key}.json")
+def _sql(cache_dir, statement):
+    """Run one statement on the cache file through a connection of its own."""
+    path = os.path.join(cache_dir, "cache.sqlite")
+    with closing(sqlite3.connect(path, isolation_level=None)) as db:
+        return db.execute(statement).fetchall()
+
+
+def _rows(cache_dir):
+    return _sql(cache_dir, "SELECT key, text, finish_reason FROM responses")
+
+
+def test_cache_is_one_sqlite_file_that_persists_across_instances(tmp_path):
+    inner = MockBackend(default="stored", model="m")
+    CachedBackend(inner, str(tmp_path)).complete(request("persist me"))
+    assert set(os.listdir(tmp_path)) <= {"cache.sqlite", "cache.sqlite-wal", "cache.sqlite-shm"}
+    assert _rows(tmp_path) == [(cache_key(request("persist me"), "m"), "stored", "stop")]
+
+    resp = CachedBackend(inner, str(tmp_path)).complete(request("persist me"))
+    assert resp.from_cache and resp.text == "stored"
+    assert inner.calls == 1
 
 
 def test_corrupt_cache_entry_is_a_miss_and_gets_rewritten(tmp_path):
@@ -332,30 +350,64 @@ def test_corrupt_cache_entry_is_a_miss_and_gets_rewritten(tmp_path):
     cached = CachedBackend(inner, str(tmp_path))
     req = request("poisoned")
     cached.complete(req)
-    key = cache_key(req, "m")
-    path = tmp_path / key[:2] / f"{key}.json"
-    path.write_text("not json at all", encoding="utf-8")
+    _sql(tmp_path, "UPDATE responses SET text = 42")
     resp = cached.complete(req)
     assert not resp.from_cache
     assert inner.calls == 2
-    entry = json.loads(path.read_text(encoding="utf-8"))
-    assert entry["key"] == key and entry["text"] == "fresh"
+    assert _rows(tmp_path) == [(cache_key(req, "m"), "fresh", "stop")]
+    assert cached.complete(req).from_cache
 
 
-def test_cache_entry_with_wrong_key_is_a_miss(tmp_path):
-    inner = MockBackend(default="real", model="m")
+def test_cache_file_that_is_not_a_database_names_the_path(tmp_path):
+    path = tmp_path / "cache.sqlite"
+    path.write_bytes(b"this is not an SQLite database, just some bytes" * 4)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        CachedBackend(MockBackend(default="x"), str(tmp_path))
+
+
+def test_cache_failure_is_not_stored(tmp_path):
+    cached = CachedBackend(MockBackend(rules=[("known", "x")], model="m"), str(tmp_path))
+    with pytest.raises(MockMissError):
+        cached.complete(request("another prompt"))
+    assert _rows(tmp_path) == []
+
+
+def test_cache_shared_by_16_threads(tmp_path):
+    def reply(req):
+        time.sleep(0.001)
+        return req.user_prompt.upper()
+
+    inner = MockBackend(default=reply, model="m")
     cached = CachedBackend(inner, str(tmp_path))
-    req = request("moved file")
-    key = cache_key(req, "m")
-    path = tmp_path / key[:2] / f"{key}.json"
-    path.parent.mkdir(parents=True)
-    path.write_text(
-        json.dumps({"key": "0" * 64, "text": "stale", "finish_reason": "stop"}),
-        encoding="utf-8",
-    )
-    resp = cached.complete(req)
-    assert resp.text == "real"
-    assert inner.calls == 1
+    prompts = [f"prompt {i // 16}" for i in range(640)]  # 40 keys, each asked 16 times in a row
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            replies = list(pool.map(lambda p: cached.complete(request(p)).text, prompts))
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert replies == [p.upper() for p in prompts]
+    assert len(_rows(tmp_path)) == 40
+    calls = inner.calls
+    assert all(cached.complete(request(p)).from_cache for p in set(prompts))
+    assert inner.calls == calls
+
+
+def test_two_endpoints_sharing_a_cache_dir_do_not_share_entries(tmp_path, monkeypatch):
+    urls = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        urls.append(url)
+        return FakeResponse(200, ok_payload(f"from {url}"))
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    a = build_http_backend(spec(endpoint="http://a.test/v1/chat"), cache_dir=str(tmp_path))
+    b = build_http_backend(spec(endpoint="http://b.test/v1/chat"), cache_dir=str(tmp_path))
+    assert a.complete(request()).text == "from http://a.test/v1/chat"
+    assert b.complete(request()).text == "from http://b.test/v1/chat"
+    assert a.complete(request()).from_cache and b.complete(request()).from_cache
+    assert urls == ["http://a.test/v1/chat", "http://b.test/v1/chat"]
 
 
 # ---------------------------------------------------------------------------

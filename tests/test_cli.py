@@ -14,8 +14,6 @@ from dahl.stats import f_test_equal_variance, pearson, t_test
 from dahl.types import Question, Status, Verdict
 
 
-pytestmark = pytest.mark.usefixtures("disable_network")
-
 CONFIG_TEXT = textwrap.dedent(
     """
     backends:
@@ -198,6 +196,40 @@ def test_evaluate_missing_config_reports_error(tmp_path, capsys, questions_path)
     assert code == 1
     assert stderr.startswith("error: ")
     assert stdout == ""
+
+
+def test_evaluate_with_a_cache_file_that_is_not_a_database_exits_1(
+    tmp_path, capsys, questions_path
+):
+    config = tmp_path / "http.yaml"
+    config.write_text(
+        CONFIG_TEXT.replace(
+            "generator: {kind: mock, model: mock-small}",
+            "generator: {kind: http, model: m, endpoint: 'http://gen.test/v1/chat'}",
+            1,
+        ),
+        encoding="utf-8",
+    )
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "cache.sqlite").write_text("not a database " * 20, encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys,
+        [
+            "evaluate",
+            "--config",
+            str(config),
+            "--cache-dir",
+            str(cache),
+            "--questions",
+            questions_path,
+            "--out",
+            str(tmp_path / "o"),
+        ],
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: response cache {cache / 'cache.sqlite'}: ")
 
 
 def test_cli_requires_a_command(capsys):
@@ -434,6 +466,31 @@ def test_compare_human_alignment_error_lists_both_sides(tmp_path, capsys):
     assert "scored but not annotated: q00" in stderr
     assert "+4 more" in stderr  # 14 unmatched ids, clipped at 10
     assert "annotated but not scored: zz9" in stderr
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("human.csv", "question_id,score\nh1,0.2\nh2,0.5\nh1,0.9\n", "row 4"),
+        (
+            "human.jsonl",
+            '{"question_id": "h1", "score": 0.2}\n{"question_id": "h1", "score": 0.9}\n',
+            "line 2",
+        ),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_compare_human_refuses_a_repeated_question_id(tmp_path, capsys, name, text, where):
+    records_path = tmp_path / "records.jsonl"
+    _write_precision_records(records_path, {"h1": 0.5, "h2": 1.0})
+    human_path = tmp_path / name
+    human_path.write_text(text, encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, ["compare-human", "--records", str(records_path), "--human", str(human_path)]
+    )
+    assert code == 1
+    assert stdout == ""
+    assert f"{human_path}: {where} repeats question_id 'h1'" in stderr
 
 
 # ---------------------------------------------------------------------------

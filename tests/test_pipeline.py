@@ -7,7 +7,7 @@ import pytest
 import requests
 
 from dahl.backends import BackendSpec, HttpBackend, MockBackend, RetryPolicy
-from dahl.pipeline import PipelineError, run_evaluation
+from dahl.pipeline import PipelineError, run_evaluation, run_temperature_ablation
 from dahl.score import NoScorableResponsesError
 from dahl.types import GenConfig, Status
 
@@ -214,3 +214,15 @@ def test_resume_of_a_run_without_manifest_writes_one_and_continues(tmp_path):
         tmp_path / "straight" / "run_manifest.json"
     ).read_bytes()
     assert _same_outputs(out, tmp_path / "straight")
+
+
+def test_ablation_refuses_cells_that_share_a_run_directory(tmp_path):
+    _, splitter, checker = _backends()
+    generators = [MockBackend(default=ANSWER, model=m) for m in ("org/m", "org_m")]
+    collision = r"\('org/m', 0.1\) and \('org_m', 0.1\) would share run directory runs/org_m_t0.1"
+    with pytest.raises(PipelineError, match=collision):
+        run_temperature_ablation(
+            SIX, str(tmp_path), generators, splitter, checker, GenConfig(), [0.1, 0.2], fraction=1.0
+        )
+    assert not (tmp_path / "runs").exists()
+    assert generators[0].calls == 0
