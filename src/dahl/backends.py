@@ -144,6 +144,7 @@ class HttpBackend:
         self.spec = spec
         self.backend_id = spec.backend_id
         self.model = spec.model
+        self._owns_session = session is None
         self._session = session if session is not None else requests.Session()
         self._sleep = sleeper
         self._rng = rng if rng is not None else random.Random()
@@ -242,6 +243,11 @@ class HttpBackend:
             f"({last_failure})"
         )
 
+    def close(self) -> None:
+        """Close the session if this backend created it; an injected one stays open."""
+        if self._owns_session:
+            self._session.close()
+
 
 class TokenBucket:
     """Client-side rate limiter. Thread-safe; clock injectable for tests."""
@@ -304,6 +310,9 @@ class ThrottledBackend:
                 self._bucket.acquire()
             return self._inner.complete(req)
 
+    def close(self) -> None:
+        close_backend(self._inner)
+
 
 def cache_key(req: ChatRequest, model: str, endpoint: Optional[str] = None) -> str:
     """Content hash identifying a request for caching purposes."""
@@ -365,6 +374,22 @@ class CachedBackend:
             )
         return resp
 
+    def close(self) -> None:
+        """Close the cache file, then the backend behind it. Safe to call twice.
+
+        Closing checkpoints the write-ahead log into cache.sqlite and
+        removes the -wal and -shm files.
+        """
+        with self._lock:
+            self._db.close()
+        close_backend(self._inner)
+
+    def __enter__(self) -> "CachedBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 MockRule = Tuple[str, Union[str, Callable[[ChatRequest], str]]]
 
@@ -415,6 +440,13 @@ class MockBackend:
         return ChatResponse(
             text=text, finish_reason=self._finish_reason, latency_ms=0, attempts=1
         )
+
+
+def close_backend(backend: Backend) -> None:
+    """Release what a backend holds open; backends without close() hold nothing."""
+    close = getattr(backend, "close", None)
+    if close is not None:
+        close()
 
 
 def build_http_backend(spec: BackendSpec, cache_dir: Optional[str] = None) -> Backend:

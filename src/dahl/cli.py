@@ -10,6 +10,7 @@ stdout; progress and warnings go to stderr; exit code 0 means success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -17,6 +18,7 @@ import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .backends import Backend, close_backend
 from .config import ConfigError, RunConfig, load_config
 from .dataset import build_dataset
 from .pipeline import (
@@ -51,6 +53,11 @@ def _print_json(obj: dict) -> None:
 
 def _load_run_config(args) -> RunConfig:
     return load_config(args.config, cache_dir_override=getattr(args, "cache_dir", None))
+
+
+def _closed_on_exit(stack: contextlib.ExitStack, backend: Backend) -> Backend:
+    stack.callback(close_backend, backend)
+    return backend
 
 
 def _gen_config(cfg: RunConfig, args) -> GenConfig:
@@ -186,20 +193,21 @@ def cmd_build_dataset(args) -> int:
         raise ValueError(f"{args.corpus}: no usable documents")
 
     role = "question_generator" if "question_generator" in cfg.backends else "generator"
-    generator = cfg.build_backend(role)
-    categorizer = cfg.build_backend("categorizer")
-    kept, dropped, report = build_dataset(
-        corpus,
-        generator,
-        categorizer,
-        cfg.rules,
-        cfg.overrides,
-        cfg.category_set,
-        questions_per_doc=args.questions_per_doc or cfg.questions_per_doc,
-        question_prompt=cfg.prompts["question_generation"],
-        categorizer_prompt=cfg.prompts["categorizer"],
-        concurrency=args.concurrency or cfg.concurrency,
-    )
+    with contextlib.ExitStack() as backends:
+        generator = _closed_on_exit(backends, cfg.build_backend(role))
+        categorizer = _closed_on_exit(backends, cfg.build_backend("categorizer"))
+        kept, dropped, report = build_dataset(
+            corpus,
+            generator,
+            categorizer,
+            cfg.rules,
+            cfg.overrides,
+            cfg.category_set,
+            questions_per_doc=args.questions_per_doc or cfg.questions_per_doc,
+            question_prompt=cfg.prompts["question_generation"],
+            categorizer_prompt=cfg.prompts["categorizer"],
+            concurrency=args.concurrency or cfg.concurrency,
+        )
 
     os.makedirs(args.out, exist_ok=True)
     questions_path = os.path.join(args.out, "questions.jsonl")
@@ -226,18 +234,22 @@ def cmd_evaluate(args) -> int:
     if not questions:
         raise ValueError(f"{args.questions}: no usable questions")
 
-    result = run_evaluation(
-        questions,
-        args.out,
-        cfg.build_backend("generator"),
-        cfg.build_backend("splitter"),
-        cfg.build_backend("checker"),
-        _gen_config(cfg, args),
-        prompts=cfg.prompts,
-        resume=args.resume,
-        stop_after=args.stop_after,
-        concurrency=args.concurrency or cfg.concurrency,
-    )
+    with contextlib.ExitStack() as backends:
+        generator = _closed_on_exit(backends, cfg.build_backend("generator"))
+        splitter = _closed_on_exit(backends, cfg.build_backend("splitter"))
+        checker = _closed_on_exit(backends, cfg.build_backend("checker"))
+        result = run_evaluation(
+            questions,
+            args.out,
+            generator,
+            splitter,
+            checker,
+            _gen_config(cfg, args),
+            prompts=cfg.prompts,
+            resume=args.resume,
+            stop_after=args.stop_after,
+            concurrency=args.concurrency or cfg.concurrency,
+        )
     if result.report is None:
         print(f"stopped after {args.stop_after}: {result.records_path}", file=sys.stderr)
         return 0
@@ -284,21 +296,25 @@ def cmd_ablate_temperature(args) -> int:
     except ValueError:
         raise ValueError(f"cannot parse temperatures from {args.temps!r}") from None
 
-    rows = run_temperature_ablation(
-        questions,
-        args.out,
-        [g.build(cfg.cache_dir) for g in cfg.generators],
-        cfg.build_backend("splitter"),
-        cfg.build_backend("checker"),
-        cfg.gen_config,
-        temperatures,
-        prompts=cfg.prompts,
-        fraction=args.fraction,
-        seed=args.seed if args.seed is not None else cfg.seed,
-        concurrency=args.concurrency or cfg.concurrency,
-        allow_high_temperatures=args.allow_high_temps,
-        resume=args.resume,
-    )
+    with contextlib.ExitStack() as backends:
+        generators = [_closed_on_exit(backends, g.build(cfg.cache_dir)) for g in cfg.generators]
+        splitter = _closed_on_exit(backends, cfg.build_backend("splitter"))
+        checker = _closed_on_exit(backends, cfg.build_backend("checker"))
+        rows = run_temperature_ablation(
+            questions,
+            args.out,
+            generators,
+            splitter,
+            checker,
+            cfg.gen_config,
+            temperatures,
+            prompts=cfg.prompts,
+            fraction=args.fraction,
+            seed=args.seed if args.seed is not None else cfg.seed,
+            concurrency=args.concurrency or cfg.concurrency,
+            allow_high_temperatures=args.allow_high_temps,
+            resume=args.resume,
+        )
     print(
         f"wrote {len(rows)} rows to {os.path.join(args.out, 'ablation.csv')}", file=sys.stderr
     )

@@ -82,8 +82,11 @@ def load_filter_rules(path: Optional[str] = None) -> List[FilterRule]:
     return rules
 
 
+_WHITESPACE_RUN = re.compile(r"\s+")
+
+
 def normalize_question_text(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip()
+    return _WHITESPACE_RUN.sub(" ", text).strip()
 
 
 def make_question_id(source_doc_id: str, text: str) -> str:
@@ -212,8 +215,9 @@ def resolve_category_reply(reply: str, category_set: CategorySet) -> CategorizeR
     folded = reply.casefold()
     claimed: list = []  # (start, end) spans already taken by a longer label
     hits = []
-    for label in sorted(category_set, key=len, reverse=True):
-        pattern = re.compile(r"(?<!\w)" + re.escape(label.casefold()) + r"(?!\w)")
+    for label, folded_label, pattern in category_set.mention_patterns:
+        if folded_label not in folded:
+            continue  # the pattern matches only text containing the label
         for match in pattern.finditer(folded):
             span = (match.start(), match.end())
             if any(s <= span[0] and span[1] <= e for s, e in claimed):
@@ -241,7 +245,7 @@ def categorize(
         "categorizer",
         prompt_template,
         question=text,
-        labels="\n".join(f"- {label}" for label in category_set),
+        labels=category_set.prompt_block,
     )
     request = ChatRequest(
         backend_id=backend.backend_id, user_prompt=prompt, gen_config=CATEGORIZER_GEN

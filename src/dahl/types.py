@@ -8,6 +8,7 @@ written with alphabetically sorted keys so files diff cleanly.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -105,20 +106,43 @@ class SourceDocument:
 
 @dataclass(frozen=True)
 class CategorySet:
-    """Closed set of category labels, checked case-insensitively."""
+    """Closed set of category labels, checked case-insensitively.
+
+    Labels are non-empty and carry no surrounding whitespace.
+    """
 
     labels: tuple
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValueError("category set must not be empty")
-        keys = [label.strip().casefold() for label in self.labels]
+        for label in self.labels:
+            if not label or label != label.strip():
+                raise ValueError(
+                    f"category label {label!r} must be non-empty, without surrounding whitespace"
+                )
+        keys = [label.casefold() for label in self.labels]
         if len(set(keys)) != len(keys):
             raise ValueError("category labels must be unique (case-insensitive)")
 
     @cached_property
     def _by_key(self) -> dict:
-        return {label.strip().casefold(): label for label in self.labels}
+        return {label.casefold(): label for label in self.labels}
+
+    @cached_property
+    def mention_patterns(self) -> tuple:
+        """(label, folded label, whole-word regex over folded text), longest label first."""
+        patterns = []
+        for label in sorted(self.labels, key=len, reverse=True):
+            folded = label.casefold()
+            regex = re.compile(r"(?<!\w)" + re.escape(folded) + r"(?!\w)")
+            patterns.append((label, folded, regex))
+        return tuple(patterns)
+
+    @cached_property
+    def prompt_block(self) -> str:
+        """The labels as the categorizer prompt lists them, one "- label" per line."""
+        return "\n".join(f"- {label}" for label in self.labels)
 
     def __contains__(self, label: object) -> bool:
         return isinstance(label, str) and label in self.labels

@@ -202,3 +202,34 @@ def segment_sentences_oracle(text):
             pieces.append((piece, _normalize_key_oracle(piece)))
         start = cut
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# Categorizer reply resolution as first written: every label's regex is
+# built on every call. Works on a plain tuple of labels and returns
+# (label, matched, ambiguous).
+
+
+def resolve_category_reply_oracle(reply, labels):
+    by_key = {label.strip().casefold(): label for label in labels}
+    exact = by_key.get(reply.strip().casefold())
+    if exact is not None:
+        return exact, (exact,), False
+
+    folded = reply.casefold()
+    claimed = []
+    hits = []
+    for label in sorted(labels, key=len, reverse=True):
+        pattern = re.compile(r"(?<!\w)" + re.escape(label.casefold()) + r"(?!\w)")
+        for match in pattern.finditer(folded):
+            span = (match.start(), match.end())
+            if any(s <= span[0] and span[1] <= e for s, e in claimed):
+                continue
+            claimed.append(span)
+            hits.append((match.start(), label))
+            break
+    hits.sort()
+    matched = tuple(label for _, label in hits)
+    if not matched:
+        return "Other", (), False
+    return matched[0], matched, len(set(matched)) > 1

@@ -50,6 +50,7 @@ class FakeSession:
     def __init__(self, script):
         self.script = list(script)
         self.calls = []
+        self.closed = False
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
@@ -57,6 +58,9 @@ class FakeSession:
         if isinstance(item, Exception):
             raise item
         return item
+
+    def close(self):
+        self.closed = True
 
 
 def ok_payload(text="All good.", finish="stop"):
@@ -392,6 +396,38 @@ def test_cache_shared_by_16_threads(tmp_path):
     calls = inner.calls
     assert all(cached.complete(request(p)).from_cache for p in set(prompts))
     assert inner.calls == calls
+
+
+def test_closed_cache_leaves_only_its_file_and_keeps_every_row(tmp_path):
+    prompts = [f"prompt {i}" for i in range(20)]
+    inner = MockBackend(default=lambda req: req.user_prompt.upper(), model="m")
+    with CachedBackend(inner, str(tmp_path)) as cached:
+        for p in prompts:
+            cached.complete(request(p))
+    cached.close()  # closing twice is harmless
+    assert os.listdir(tmp_path) == ["cache.sqlite"]
+
+    strict = MockBackend(model="m")  # any miss would raise
+    with CachedBackend(strict, str(tmp_path)) as reopened:
+        replies = [reopened.complete(request(p)) for p in prompts]
+    assert all(r.from_cache for r in replies)
+    assert [r.text for r in replies] == [p.upper() for p in prompts]
+    assert strict.calls == 0
+    assert os.listdir(tmp_path) == ["cache.sqlite"]
+
+
+def test_close_reaches_the_session_only_when_the_backend_made_it(tmp_path, monkeypatch):
+    closed = []
+    monkeypatch.setattr(requests.Session, "close", lambda self: closed.append(self))
+    build_http_backend(spec(), cache_dir=str(tmp_path)).close()
+    assert len(closed) == 1
+    assert os.listdir(tmp_path) == ["cache.sqlite"]
+
+    injected = FakeSession([])
+    ThrottledBackend(HttpBackend(spec(), session=injected), max_concurrency=2).close()
+    assert not injected.closed
+    ThrottledBackend(MockBackend(), max_concurrency=2).close()  # nothing to close inside
+    assert len(closed) == 1
 
 
 def test_two_endpoints_sharing_a_cache_dir_do_not_share_entries(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import textwrap
 
 import pytest
@@ -230,6 +231,38 @@ def test_evaluate_with_a_cache_file_that_is_not_a_database_exits_1(
     assert code == 1
     assert stdout == ""
     assert stderr.startswith(f"error: response cache {cache / 'cache.sqlite'}: ")
+
+
+def test_failed_command_closes_the_cache_it_opened(tmp_path, capsys, questions_path):
+    # The generator's cached backend is built before the missing checker
+    # role stops the command.
+    config = tmp_path / "http.yaml"
+    config.write_text(
+        CONFIG_TEXT.replace(
+            "generator: {kind: mock, model: mock-small}",
+            "generator: {kind: http, model: m, endpoint: 'http://gen.test/v1/chat'}",
+            1,
+        ).replace("  checker: {kind: mock, model: mock-checker}\n", ""),
+        encoding="utf-8",
+    )
+    cache = tmp_path / "cache"
+    code, stdout, stderr = run_cli(
+        capsys,
+        [
+            "evaluate",
+            "--config",
+            str(config),
+            "--cache-dir",
+            str(cache),
+            "--questions",
+            questions_path,
+            "--out",
+            str(tmp_path / "o"),
+        ],
+    )
+    assert code == 1
+    assert "checker" in stderr
+    assert os.listdir(cache) == ["cache.sqlite"]
 
 
 def test_cli_requires_a_command(capsys):

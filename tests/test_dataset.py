@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dahl.dataset
 from dahl.backends import MockBackend
 from dahl.dataset import (
     AMBIGUOUS_CATEGORY_RULE,
+    CategorizeResult,
     FilterRule,
     OverrideList,
     QuestionParseError,
@@ -21,10 +26,11 @@ from dahl.dataset import (
     normalize_question_text,
     resolve_category_reply,
 )
-from dahl.defaults import load_category_set
-from dahl.types import Question, ReviewOverride, SourceDocument
+from dahl.defaults import fill_template, load_category_set
+from dahl.types import CategorySet, Question, ReviewOverride, SourceDocument
 
 from factories import make_question
+from oracles import resolve_category_reply_oracle
 
 RULES = load_filter_rules()
 CATEGORIES = load_category_set()
@@ -321,6 +327,98 @@ def test_categorize_sends_labels_and_question():
     assert got.label == "Dental"
     assert "- Dental" in seen[0]
     assert "Which teeth erupt first?" in seen[0]
+
+
+# Labels with regex metacharacters, labels nested in longer ones, and
+# labels whose case folding changes their length.
+_LABEL_POOL = (
+    "Medicine",
+    "Community Medicine",
+    "Forensic Medicine",
+    "Surgery",
+    "C",
+    "C++",
+    "ENT",
+    "Ear, Nose & Throat (ENT)",
+    "O&G (Obstetrics and Gynaecology)",
+    "Straße",
+    "Public Health",
+    "Health",
+    "a.b",
+    "Bio-Statistics",
+    "İnternal",
+)
+_GLUE = (" ", ".", ",", "-", "(", ")", "+", "&", "\n", "ß", "SS", "ss", "Other", "or")
+
+
+@st.composite
+def _labels_and_reply(draw):
+    labels = draw(
+        st.lists(st.sampled_from(_LABEL_POOL), min_size=1, max_size=6, unique_by=str.casefold)
+    )
+    label = st.sampled_from(labels)
+    piece = st.tuples(label, st.integers(0, 40), st.integers(0, 40)).map(
+        lambda t: t[0][t[1] : t[2]]
+    )
+    fragment = st.one_of(
+        label,
+        label.map(str.upper),
+        label.map(str.lower),
+        label.map(str.swapcase),
+        piece,
+        st.sampled_from(_GLUE),
+        st.text(max_size=4),
+    )
+    reply = draw(st.lists(fragment, max_size=8).map("".join))
+    return tuple(labels), reply
+
+
+@settings(max_examples=400, deadline=None)
+@given(_labels_and_reply())
+@example((("Medicine", "Community Medicine"), "community medicine, not Medicine"))
+@example((("C", "C++"), "C++ or c"))
+@example((("Straße", "Surgery"), "STRASSE? surgery"))
+@example((("Ear, Nose & Throat (ENT)", "ENT"), "ear, nose & throat (ent) - ENT"))
+def test_resolve_matches_the_oracle(case):
+    labels, reply = case
+    got = resolve_category_reply(reply, CategorySet(labels=labels))
+    assert got == CategorizeResult(*resolve_category_reply_oracle(reply, labels))
+
+
+def test_categorize_compiles_nothing_and_renders_the_label_list_once(monkeypatch):
+    prompts = []
+
+    def reply(req):
+        prompts.append(req.user_prompt)
+        return ("Medicine or Surgery", "It is Radiology.", "Astrophysics", "ent")[len(prompts) % 4]
+
+    backend = MockBackend(default=reply)
+    cats = load_category_set()
+    categorize("Which nerve is cut?", backend, cats)  # warm-up
+
+    calls = {"compile": 0, "escape": 0}
+
+    def counting(name):
+        real = getattr(re, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dahl.dataset.re, "compile", counting("compile"))
+    monkeypatch.setattr(dahl.dataset.re, "escape", counting("escape"))
+    for i in range(200):
+        categorize(f"Question number {i}?", backend, cats)
+    monkeypatch.undo()
+    assert calls == {"compile": 0, "escape": 0}
+
+    old_block = "\n".join(f"- {label}" for label in cats)
+    questions = ["Which nerve is cut?"] + [f"Question number {i}?" for i in range(200)]
+    assert prompts == [
+        fill_template("categorizer", None, question=q, labels=old_block) for q in questions
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from dahl.defaults import load_category_set
 from dahl.types import (
     AtomicUnit,
     CategorySet,
@@ -56,6 +57,23 @@ def test_category_set_rejects_duplicates_and_empty():
         CategorySet(labels=("Surgery", "surgery"))
     with pytest.raises(ValueError):
         CategorySet(labels=())
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [("", "Surgery"), (" Cardiology ", "Surgery"), ("Surgery", "Cardiology\n"), ("Surgery", "\t")],
+)
+def test_category_set_rejects_empty_or_padded_labels(labels):
+    # An empty label matches between any two punctuation marks, and a
+    # padded one is never found inside a reply.
+    with pytest.raises(ValueError, match="surrounding whitespace"):
+        CategorySet(labels=labels)
+
+
+def test_category_file_lines_are_stripped_into_valid_labels(tmp_path):
+    path = tmp_path / "categories.txt"
+    path.write_text("  Cardiology \n\n# comment\n\tSurgery\n", encoding="utf-8")
+    assert load_category_set(str(path)).labels == ("Cardiology", "Surgery")
 
 
 def test_question_kept_logic():
