@@ -19,7 +19,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backends import Backend, close_backend
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .dataset import build_dataset
 from .pipeline import (
     STAGES,
@@ -35,7 +35,7 @@ from .records import (
     read_source_documents,
     write_records,
 )
-from .score import NoScorableResponsesError, dahl_score, precision_by_question
+from .score import dahl_score, precision_by_question
 from .stats import f_test_equal_variance, pearson, stratified_sample, t_test
 from .types import GenConfig
 
@@ -481,12 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # ConfigError and NoScorableResponsesError are ValueErrors.
     try:
         return args.func(args)
-    except (ConfigError, PipelineError, NoScorableResponsesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ typo fails before any work starts.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import yaml
@@ -104,47 +104,29 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+# How typed keys are read; any other key is taken as written.
+_COERCE = {
+    "kind": str,
+    "model": str,
+    "max_concurrency": int,
+    "timeout_s": float,
+    "requests_per_second": lambda value: None if value is None else float(value),
+    "max_attempts": int,
+    "base_backoff_s": float,
+}
+
+
 def _parse_backend(role: str, raw: dict) -> BackendConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"backend {role!r} must be a mapping")
-    known = {
-        "kind",
-        "model",
-        "behavior",
-        "reply",
-        "endpoint",
-        "auth_env",
-        "max_concurrency",
-        "timeout_s",
-        "requests_per_second",
-        "max_attempts",
-        "base_backoff_s",
-    }
+    known = {f.name for f in fields(BackendConfig)} - {"role"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"backend {role!r}: unknown keys {sorted(unknown)}")
-    kind = raw.get("kind", "mock")
-    model = raw.get("model")
-    if not model:
+    if not raw.get("model"):
         raise ConfigError(f"backend {role!r}: model is required")
-    return BackendConfig(
-        role=role,
-        kind=str(kind),
-        model=str(model),
-        behavior=raw.get("behavior"),
-        reply=raw.get("reply"),
-        endpoint=raw.get("endpoint"),
-        auth_env=raw.get("auth_env"),
-        max_concurrency=int(raw.get("max_concurrency", 4)),
-        timeout_s=float(raw.get("timeout_s", 60.0)),
-        requests_per_second=(
-            float(raw["requests_per_second"])
-            if raw.get("requests_per_second") is not None
-            else None
-        ),
-        max_attempts=int(raw.get("max_attempts", 5)),
-        base_backoff_s=float(raw.get("base_backoff_s", 0.5)),
-    )
+    values = {key: _COERCE.get(key, lambda value: value)(value) for key, value in raw.items()}
+    return BackendConfig(role=role, kind=values.pop("kind", "mock"), **values)
 
 
 def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfig:

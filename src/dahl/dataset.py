@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -17,11 +16,15 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
 from .listparse import parse_list_output
+from .tasks import run_tasks
 from .types import CategorySet, GenConfig, Question, ReviewOverride, SourceDocument
 
-# Questions flagged because the categorizer named several fields carry
-# this pseudo-rule in their filter trace.
+# Pseudo-rules the build appends to a filter trace: the categorizer named
+# several fields, or its call failed. No filter rule may take these ids,
+# since BuildReport counts are read back from the traces.
 AMBIGUOUS_CATEGORY_RULE = "ambiguous_category"
+CATEGORIZER_FAILURE_RULE = "categorizer_failure"
+PSEUDO_RULES = (AMBIGUOUS_CATEGORY_RULE, CATEGORIZER_FAILURE_RULE)
 
 GENERATOR_GEN = GenConfig(temperature=0.6, max_tokens=1024)
 CATEGORIZER_GEN = GenConfig(temperature=0.0, max_tokens=32)
@@ -40,6 +43,8 @@ class FilterRule:
     def __post_init__(self) -> None:
         if not self.rule_id:
             raise ValueError("rule_id must be non-empty")
+        if self.rule_id in PSEUDO_RULES:
+            raise ValueError(f"rule_id {self.rule_id!r} is reserved for the build")
         re.compile(self.pattern)  # fail fast on a broken pattern
 
     @cached_property
@@ -296,80 +301,75 @@ def build_dataset(
 ) -> Tuple[List[Question], List[Question], BuildReport]:
     """Run the full construction pipeline over a corpus.
 
+    Each document is one task (generate, filter, override, categorize)
+    on `concurrency` threads, merged in corpus order, so the output does
+    not depend on `concurrency`. Duplicate doc ids raise ValueError.
     Returns (kept, dropped, report). Per-document generator failures
     are isolated: they land in report.failures and the build carries
     on. Dropped questions keep their provenance but are not
     categorized (no point spending calls on them); their category is
     the catch-all label.
     """
-    report = BuildReport(n_documents=len(corpus))
+    doc_ids = [doc.doc_id for doc in corpus]
+    if len(set(doc_ids)) != len(doc_ids):
+        dupes = sorted({i for i in doc_ids if doc_ids.count(i) > 1})
+        raise ValueError(f"duplicate doc ids: {dupes}")
 
-    def generate(doc: SourceDocument):
+    def build_one(doc: SourceDocument) -> Tuple[List[Question], List[Question], List[str]]:
         try:
-            return doc, generate_questions(
-                doc, generator_backend, question_prompt, questions_per_doc
-            )
+            texts = generate_questions(doc, generator_backend, question_prompt, questions_per_doc)
         except (BackendError, ValueError) as exc:
-            return doc, exc
-
-    kept: List[Question] = []
-    dropped: List[Question] = []
-    seen_ids = set()
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        generated = list(pool.map(generate, corpus))
-
-    for doc, outcome in generated:
-        if isinstance(outcome, Exception):
-            report.failures.append(f"{doc.doc_id}: {outcome}")
-            continue
-        for text in outcome:
+            return [], [], [f"{doc.doc_id}: {exc}"]
+        kept, dropped, failures = [], [], []
+        for text in texts:
             question_id = make_question_id(doc.doc_id, text)
-            if question_id in seen_ids:
-                continue
-            seen_ids.add(question_id)
-            report.n_generated += 1
-
-            decision = filter_context_dependent(text, rules)
             question = Question(
                 question_id=question_id,
                 text=text,
                 category="Other",
                 source_doc_id=doc.doc_id,
-                filter_trace=list(decision.rule_ids),
+                filter_trace=list(filter_context_dependent(text, rules).rule_ids),
+                review_override=overrides.override_for(question_id, text),
             )
-            apply_review_overrides([question], overrides)
-
-            if decision.rule_ids:
-                report.n_dropped_filter += 1
-                for rule_id in decision.rule_ids:
-                    report.drops_per_rule[rule_id] = report.drops_per_rule.get(rule_id, 0) + 1
-            if question.review_override is ReviewOverride.FORCE_DROP:
-                report.n_forced_drop += 1
-            elif question.review_override is ReviewOverride.FORCE_KEEP and decision.rule_ids:
-                report.n_forced_keep += 1
-
             if not question.kept:
                 dropped.append(question)
                 continue
-
             try:
-                result = categorize(
-                    text, categorizer_backend, category_set, categorizer_prompt
-                )
+                result = categorize(text, categorizer_backend, category_set, categorizer_prompt)
             except BackendError as exc:
-                report.failures.append(f"{question_id}: categorizer failed: {exc}")
-                question.filter_trace.append("categorizer_failure")
+                failures.append(f"{question_id}: categorizer failed: {exc}")
+                question.filter_trace.append(CATEGORIZER_FAILURE_RULE)
                 dropped.append(question)
                 continue
             if result.ambiguous and question.review_override is not ReviewOverride.FORCE_KEEP:
                 # Manual review outranks the ambiguity guard, the same
                 # way it outranks the regex rules.
-                report.n_dropped_ambiguous += 1
                 question.filter_trace.append(AMBIGUOUS_CATEGORY_RULE)
                 dropped.append(question)
                 continue
             question.category = result.label
             kept.append(question)
+        return kept, dropped, failures
 
+    kept, dropped = [], []
+    report = BuildReport(n_documents=len(corpus))
+    for doc_kept, doc_dropped, doc_failures in run_tasks(
+        corpus, build_one, lambda _: None, concurrency
+    ):
+        kept += doc_kept
+        dropped += doc_dropped
+        report.failures += doc_failures
+
+    report.n_generated = len(kept) + len(dropped)
     report.n_kept = len(kept)
+    for question in kept + dropped:
+        rule_ids = [r for r in question.filter_trace if r not in PSEUDO_RULES]
+        report.n_dropped_filter += bool(rule_ids)
+        for rule_id in rule_ids:
+            report.drops_per_rule[rule_id] = report.drops_per_rule.get(rule_id, 0) + 1
+        report.n_dropped_ambiguous += AMBIGUOUS_CATEGORY_RULE in question.filter_trace
+        if question.review_override is ReviewOverride.FORCE_DROP:
+            report.n_forced_drop += 1
+        elif question.review_override is ReviewOverride.FORCE_KEEP and rule_ids:
+            report.n_forced_keep += 1
     return kept, dropped, report

@@ -16,7 +16,6 @@ import io
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from .responses import generate_response, preprocess, render_question_prompt
 from .score import dahl_score, render_report
 from .split import split_into_units
 from .stats import stratified_sample
+from .tasks import run_tasks
 from .types import EvalRecord, GenConfig, Question, ScoreReport, Status
 
 STAGES = ("generate", "preprocess", "split", "check", "score")
@@ -153,24 +153,14 @@ def run_evaluation(
                 step(record, question.text)
         return record
 
-    pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
-    futures = [pool.submit(advance, q) for q in questions]
-    try:
-        with open(journal_path, "a" if resume else "w", encoding="utf-8") as journal:
-            journal.write("\n")  # ends a torn last line; blank lines are skipped
-            for future in as_completed(futures):
-                if not future.cancelled() and future.exception() is None:
-                    journal.write(dumps_compact(future.result().to_dict()) + "\n")
-                    journal.flush()
-                elif not future.cancelled():
-                    # Not pool.shutdown(cancel_futures=True): it hangs as_completed.
-                    for pending in futures:
-                        pending.cancel()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    with open(journal_path, "a" if resume else "w", encoding="utf-8") as journal:
+        journal.write("\n")  # ends a torn last line; blank lines are skipped
 
-    # Raises the first task exception; tasks start in order, so none cancelled precedes it.
-    current = [f.result() for f in futures]
+        def journaled(record: EvalRecord) -> None:
+            journal.write(dumps_compact(record.to_dict()) + "\n")
+            journal.flush()
+
+        current = run_tasks(questions, advance, journaled, concurrency)
     records = current + orphans
     try:
         # Orphans stay out of the report.

@@ -7,7 +7,6 @@ from typing import List, Optional
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
 from .listparse import parse_list_output
-from .responses import normalize_sentence_key, segment_sentences
 from .types import AtomicUnit, EvalRecord, GenConfig, Status
 
 # Decoding parameters for splitter calls. The record's own gen_config
@@ -57,33 +56,3 @@ def split_into_units(
     record.status = Status.SPLIT
     return record
 
-
-def validate_units(record: EvalRecord, max_units_per_sentence: int = 6) -> List[str]:
-    """Sanity flags for a split record; diagnostics only, never mutates.
-
-    The splitter is treated as authoritative, so anomalies are
-    reported rather than repaired.
-    """
-    if record.status is not Status.SPLIT:
-        raise ValueError(f"validate_units requires status=split, got {record.status.value}")
-    flags = []
-    if not record.units:
-        flags.append("zero units")
-    response = record.preprocessed or ""
-    for unit in record.units:
-        if len(unit.text) > len(response):
-            flags.append(f"unit {unit.index} is longer than the whole response")
-    n_sentences = max(1, len(segment_sentences(response)))
-    if len(record.units) > n_sentences * max_units_per_sentence:
-        flags.append(
-            f"unit count {len(record.units)} exceeds {max_units_per_sentence} per sentence "
-            f"({n_sentences} sentences)"
-        )
-    seen = {}
-    for unit in record.units:
-        key = normalize_sentence_key(unit.text)
-        if key in seen:
-            flags.append(f"unit {unit.index} duplicates unit {seen[key]}")
-        else:
-            seen[key] = unit.index
-    return flags

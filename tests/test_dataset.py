@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dahl.dataset
-from dahl.backends import MockBackend
+from dahl import mocks
+from dahl.backends import MockBackend, PermanentBackendError
 from dahl.dataset import (
     AMBIGUOUS_CATEGORY_RULE,
     CategorizeResult,
@@ -67,6 +70,15 @@ def test_bad_rule_line_reports_line_number(tmp_path):
     path = tmp_path / "rules.jsonl"
     path.write_text('{"rule_id": "ok", "pattern": "x"}\n{"pattern": "y"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
+        load_filter_rules(str(path))
+
+
+@pytest.mark.parametrize("rule_id", ["ambiguous_category", "categorizer_failure"])
+def test_pseudo_rule_ids_are_reserved(tmp_path, rule_id):
+    path = tmp_path / "rules.jsonl"
+    line = json.dumps({"rule_id": rule_id, "pattern": "y"})
+    path.write_text('{"rule_id": "ok", "pattern": "x"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line 2: rule_id '{rule_id}' is reserved"):
         load_filter_rules(str(path))
 
 
@@ -567,3 +579,127 @@ def test_build_dataset_is_deterministic():
         return [q.to_dict() for q in kept], [q.to_dict() for q in dropped], report.to_dict()
 
     assert run() == run()
+
+
+def test_build_dataset_refuses_duplicate_doc_ids():
+    corpus = _corpus() + [SourceDocument(doc_id="d1", title="gamma", body="text")]
+    generator = _question_backend()
+    with pytest.raises(ValueError, match=r"duplicate doc ids: \['d1'\]"):
+        build_dataset(corpus, generator, _categorizer_backend(), RULES, OverrideList(), CATEGORIES)
+    assert generator.calls == 0
+
+
+def test_build_dataset_overlaps_categorizer_calls_of_different_documents():
+    # Each call waits until four are in flight, so calls made one at a
+    # time break the barrier instead of passing it.
+    barrier = threading.Barrier(4, timeout=5)
+
+    def reply(request):
+        barrier.wait()
+        return "Radiology"
+
+    corpus = [SourceDocument(doc_id=f"d{i}", title=f"doc {i}", body="text") for i in range(4)]
+    generator = MockBackend(default="1. Which imaging modality confirms the diagnosis?")
+    kept, dropped, report = build_dataset(
+        corpus,
+        generator,
+        MockBackend(default=reply),
+        RULES,
+        OverrideList(),
+        CATEGORIES,
+        concurrency=4,
+    )
+    assert [q.source_doc_id for q in kept] == ["d0", "d1", "d2", "d3"]
+    assert {q.category for q in kept} == {"Radiology"}
+    assert dropped == [] and report.n_kept == 4
+
+
+def test_build_dataset_raises_a_categorizer_crash_and_starts_no_later_document():
+    generator_calls = []
+
+    def generate(request):
+        generator_calls.append(request.user_prompt)
+        if len(generator_calls) > 1:
+            time.sleep(0.02)  # model latency, during which queued documents are cancelled
+        return "1. Which imaging modality confirms the diagnosis?"
+
+    categorizer_calls = []
+
+    def categorize_reply(request):
+        categorizer_calls.append(request)
+        if len(categorizer_calls) == 1:
+            raise RuntimeError("categorizer process died")
+        return "Radiology"
+
+    corpus = [SourceDocument(doc_id=f"d{i}", title=f"doc {i}", body="text") for i in range(6)]
+    with pytest.raises(RuntimeError, match="categorizer process died"):
+        build_dataset(
+            corpus,
+            MockBackend(default=generate),
+            MockBackend(default=categorize_reply),
+            RULES,
+            OverrideList(),
+            CATEGORIES,
+            concurrency=1,
+        )
+    assert len(generator_calls) < len(corpus)
+
+
+def _mock_corpus():
+    topics = ["asthma", "gout", "anemia", "sepsis", "glaucoma", "psoriasis", "migraine"]
+    docs = [
+        SourceDocument(doc_id=f"m{i:02d}", title=f"Review {i} of {t}", body=f"Notes on {t}.")
+        for i, t in enumerate(topics * 3)
+    ]
+    docs.insert(5, SourceDocument(doc_id="blank", title="Empty", body="  "))
+    return docs
+
+
+def test_build_dataset_over_mock_models_is_the_same_at_any_concurrency():
+    forced_keep = "How do the findings of the study apply to bacterial meningitis?"
+    forced_drop = "What is the first-line treatment for migraine?"
+    overrides = OverrideList(
+        force_keep=frozenset({forced_keep}), force_drop=frozenset({forced_drop})
+    )
+
+    def categorizer(request):
+        if "cystic fibrosis" in request.user_prompt:
+            return "Medicine or Surgery"
+        if "hypothyroidism" in request.user_prompt:
+            raise PermanentBackendError("categorizer refused")
+        return mocks.categorizer_reply(request)
+
+    def run(concurrency):
+        kept, dropped, report = build_dataset(
+            _mock_corpus(),
+            MockBackend(default=mocks.question_generator_reply),
+            MockBackend(default=categorizer),
+            RULES,
+            overrides,
+            CATEGORIES,
+            questions_per_doc=4,
+            concurrency=concurrency,
+        )
+        return [q.to_dict() for q in kept], [q.to_dict() for q in dropped], report.to_dict()
+
+    serial = run(1)
+    assert run(4) == serial
+    assert run(16) == serial
+    kept, dropped, report = serial
+    assert forced_keep in [q["text"] for q in kept]
+    assert forced_drop in [q["text"] for q in dropped]
+    failures = report.pop("failures")
+    assert report == {
+        "drops_per_rule": {"deictic_source_noun": 6, "passive_context_verb": 13},
+        "n_documents": 22,
+        "n_dropped_ambiguous": 6,
+        "n_dropped_filter": 19,
+        "n_forced_drop": 1,
+        "n_forced_keep": 2,
+        "n_generated": 83,
+        "n_kept": 53,
+    }
+    assert len(kept) == 53 and len(dropped) == 30
+    assert failures[0] == "blank: document 'blank' has an empty body"
+    assert len(failures) == 7
+    assert all(f.endswith(": categorizer failed: categorizer refused") for f in failures[1:])

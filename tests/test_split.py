@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from dahl.backends import MockBackend
 from dahl.listparse import parse_list_output
-from dahl.split import SplitParseError, parse_splitter_output, split_into_units, validate_units
-from dahl.types import AtomicUnit, Status
+from dahl.split import SplitParseError, parse_splitter_output, split_into_units
+from dahl.types import Status
 
 from factories import make_record
 
@@ -169,43 +169,6 @@ def test_split_uses_custom_template():
     record = make_record(status=Status.PREPROCESSED, verdicts=None, preprocessed="Text here.")
     split_into_units(record, MockBackend(default=reply), prompt_template="SPLIT NOW: {response}")
     assert seen[0] == "SPLIT NOW: Text here."
-
-
-# ---------------------------------------------------------------------------
-# validate_units
-
-
-def _split_record(units, preprocessed="One sentence here. Another one there."):
-    record = make_record(status=Status.SPLIT, verdicts=None, preprocessed=preprocessed)
-    record.units = [AtomicUnit(index=i, text=t) for i, t in enumerate(units)]
-    return record
-
-
-def test_validate_units_clean_record_has_no_flags():
-    record = _split_record(["One sentence here.", "Another one there."])
-    assert validate_units(record) == []
-
-
-def test_validate_units_flags_unit_longer_than_response():
-    record = _split_record(["x" * 100], preprocessed="short.")
-    assert any("longer than the whole response" in f for f in validate_units(record))
-
-
-def test_validate_units_flags_explosion():
-    units = [f"Claim variant number {i}." for i in range(15)]
-    record = _split_record(units, preprocessed="Single sentence only.")
-    assert any("exceeds" in f for f in validate_units(record))
-
-
-def test_validate_units_flags_duplicates():
-    record = _split_record(["The same claim.", "the SAME claim!"])
-    flags = validate_units(record)
-    assert any("duplicates" in f for f in flags)
-
-
-def test_validate_units_requires_split_status():
-    with pytest.raises(ValueError, match="split"):
-        validate_units(make_record(status=Status.CHECKED))
 
 
 # ---------------------------------------------------------------------------
