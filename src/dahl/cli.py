@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backends import Backend, close_backend
@@ -29,6 +30,8 @@ from .pipeline import (
     write_report_files,
 )
 from .records import (
+    _read_objects,
+    _read_typed,
     atomic_write_text,
     read_eval_records,
     read_questions,
@@ -61,13 +64,8 @@ def _closed_on_exit(stack: contextlib.ExitStack, backend: Backend) -> Backend:
 
 
 def _gen_config(cfg: RunConfig, args) -> GenConfig:
-    temperature = cfg.gen_config.temperature
-    max_tokens = cfg.gen_config.max_tokens
-    if getattr(args, "temperature", None) is not None:
-        temperature = args.temperature
-    if getattr(args, "max_tokens", None) is not None:
-        max_tokens = args.max_tokens
-    return GenConfig(temperature=temperature, max_tokens=max_tokens, seed=cfg.gen_config.seed)
+    flags = {"temperature": args.temperature, "max_tokens": args.max_tokens}
+    return replace(cfg.gen_config, **{k: v for k, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +97,10 @@ def _read_pairs(path: str) -> Tuple[List[float], List[float]]:
     xs: List[float] = []
     ys: List[float] = []
     if path.endswith(".jsonl"):
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                try:
-                    xs.append(float(obj["x"]))
-                    ys.append(float(obj["y"]))
-                except (KeyError, TypeError, ValueError):
-                    raise ValueError(f"{path}: line {line_no} needs numeric x and y") from None
+        pairs, diagnostics = _read_typed(path, lambda obj: (float(obj["x"]), float(obj["y"])))
+        if diagnostics:
+            raise ValueError(f"{path}: {diagnostics[0]}")
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     else:
         with open(path, encoding="utf-8", newline="") as fh:
             for row_no, row in enumerate(csv.reader(fh), start=1):
@@ -136,46 +127,41 @@ def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
     scores: Dict[str, float] = {}
     if path.endswith(".jsonl"):
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
+            for line_no, obj, diag in _read_objects(fh):
+                if diag is not None:
+                    raise ValueError(f"{path}: {diag}")
                 try:
                     qid, score = str(obj["question_id"]), float(obj["score"])
                 except (KeyError, TypeError, ValueError):
                     raise ValueError(
-                        f"{path}: line {line_no} needs question_id and numeric score"
+                        f"{path}: line {line_no}: needs question_id and numeric score"
                     ) from None
                 if qid in scores:
                     raise ValueError(f"{path}: line {line_no} repeats question_id {qid!r}")
                 scores[qid] = score
-        if not scores:
-            raise ValueError(f"{path}: no scores found")
-        return scores
-
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            row = [c.strip() for c in row]
-            if not row or not any(row):
-                continue
-            qid, rest = row[0], row[1:]
-            try:
-                values = [float(v) for v in rest if v]
-            except ValueError:
-                if row_no == 1:
-                    continue  # header
-                raise ValueError(f"{path}: row {row_no} has non-numeric scores") from None
-            if not values:
-                raise ValueError(f"{path}: row {row_no} has no score")
-            if len(values) > 1 and not use_mean:
-                raise ValueError(
-                    f"{path}: row {row_no} has {len(values)} score columns; "
-                    "pass --mean to average annotators"
-                )
-            if qid in scores:
-                raise ValueError(f"{path}: row {row_no} repeats question_id {qid!r}")
-            scores[qid] = sum(values) / len(values)
+    else:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for row_no, row in enumerate(csv.reader(fh), start=1):
+                row = [c.strip() for c in row]
+                if not row or not any(row):
+                    continue
+                qid, rest = row[0], row[1:]
+                try:
+                    values = [float(v) for v in rest if v]
+                except ValueError:
+                    if row_no == 1:
+                        continue  # header
+                    raise ValueError(f"{path}: row {row_no} has non-numeric scores") from None
+                if not values:
+                    raise ValueError(f"{path}: row {row_no} has no score")
+                if len(values) > 1 and not use_mean:
+                    raise ValueError(
+                        f"{path}: row {row_no} has {len(values)} score columns; "
+                        "pass --mean to average annotators"
+                    )
+                if qid in scores:
+                    raise ValueError(f"{path}: row {row_no} repeats question_id {qid!r}")
+                scores[qid] = sum(values) / len(values)
     if not scores:
         raise ValueError(f"{path}: no scores found")
     return scores

@@ -1,26 +1,21 @@
 """Run configuration: one YAML file describing backends, prompts, data.
 
 Secrets never live in the file; HTTP backends name an environment
-variable instead. Every referenced path is checked at load time so a
-typo fails before any work starts.
+variable instead. Every mapping is read through one checked reader and
+every referenced path is checked at load time, so a typo fails before
+any work starts, naming the key.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 import yaml
 
 from . import defaults, mocks
-from .backends import (
-    Backend,
-    BackendSpec,
-    MockBackend,
-    RetryPolicy,
-    build_http_backend,
-)
+from .backends import Backend, BackendSpec, MockBackend, RetryPolicy, build_http_backend
 from .dataset import FilterRule, OverrideList, load_filter_rules, load_overrides
 from .types import CategorySet, GenConfig
 
@@ -31,22 +26,57 @@ class ConfigError(ValueError):
     """The run configuration is unusable."""
 
 
+def _read(where: str, raw: object, schema: Dict[str, Callable]) -> dict:
+    """Check one mapping against schema (key -> coercer) and coerce its values.
+
+    A null mapping or value is unset and left out, so the dataclass it
+    feeds keeps its default. Errors name where and the key; a nested
+    mapping's ConfigError passes through.
+    """
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, not {type(raw).__name__}")
+    unknown = sorted(str(key) for key in raw if key not in schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    values = {}
+    for key, value in raw.items():
+        if value is None:
+            continue
+        try:
+            values[key] = schema[key](value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from None
+    return values
+
+
+_GENERATION_KEYS = {"temperature": float, "max_tokens": int, "seed": int}
+_BACKEND_KEYS = {"kind": str, "model": str, "behavior": str, "reply": str}
+# BackendSpec and RetryPolicy fields; an unset one keeps its default there.
+_HTTP_KEYS = {
+    "endpoint": str,
+    "auth_env": str,
+    "max_concurrency": int,
+    "timeout_s": float,
+    "requests_per_second": float,
+}
+_RETRY_KEYS = {"max_attempts": int, "base_backoff_s": float}
+
+
 @dataclass(frozen=True)
 class BackendConfig:
-    """One backend entry as written in the config file."""
+    """One backend entry as read from the config file."""
 
     role: str
-    kind: str  # "mock" or "http"
     model: str
+    kind: str = "mock"  # or "http"
     behavior: Optional[str] = None  # mock only
     reply: Optional[str] = None  # mock only: constant reply text
-    endpoint: Optional[str] = None  # http only
-    auth_env: Optional[str] = None
-    max_concurrency: int = 4
-    timeout_s: float = 60.0
-    requests_per_second: Optional[float] = None
-    max_attempts: int = 5
-    base_backoff_s: float = 0.5
+    http: Dict[str, object] = field(default_factory=dict)  # http only: the _HTTP_KEYS set
+    retry: Dict[str, object] = field(default_factory=dict)  # http only: the _RETRY_KEYS set
 
     def build(self, cache_dir: Optional[str]) -> Backend:
         if self.kind == "mock":
@@ -56,19 +86,10 @@ class BackendConfig:
                 default = mocks.get_behavior(self.behavior or self.role)
             return MockBackend(default=default, backend_id=self.role, model=self.model)
         if self.kind == "http":
-            if not self.endpoint:
+            if "endpoint" not in self.http:
                 raise ConfigError(f"backend {self.role}: http kind requires an endpoint")
             spec = BackendSpec(
-                backend_id=self.role,
-                endpoint=self.endpoint,
-                model=self.model,
-                auth_env=self.auth_env,
-                max_concurrency=self.max_concurrency,
-                timeout_s=self.timeout_s,
-                requests_per_second=self.requests_per_second,
-                retry=RetryPolicy(
-                    max_attempts=self.max_attempts, base_backoff_s=self.base_backoff_s
-                ),
+                backend_id=self.role, model=self.model, retry=RetryPolicy(**self.retry), **self.http
             )
             return build_http_backend(spec, cache_dir)
         raise ConfigError(f"backend {self.role}: unknown kind {self.kind!r}")
@@ -104,103 +125,79 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-# How typed keys are read; any other key is taken as written.
-_COERCE = {
-    "kind": str,
-    "model": str,
-    "max_concurrency": int,
-    "timeout_s": float,
-    "requests_per_second": lambda value: None if value is None else float(value),
-    "max_attempts": int,
-    "base_backoff_s": float,
-}
+def _read_backend(where: str, role: str, raw: object) -> BackendConfig:
+    values = _read(where, raw, {**_BACKEND_KEYS, **_HTTP_KEYS, **_RETRY_KEYS})
+    if not values.get("model"):
+        raise ConfigError(f"{where}: model is required")
+    http = {key: values.pop(key) for key in _HTTP_KEYS if key in values}
+    retry = {key: values.pop(key) for key in _RETRY_KEYS if key in values}
+    return BackendConfig(role=role, http=http, retry=retry, **values)
 
 
-def _parse_backend(role: str, raw: dict) -> BackendConfig:
+def _read_backends(raw: object) -> Tuple[Dict[str, BackendConfig], List[BackendConfig]]:
     if not isinstance(raw, dict):
-        raise ConfigError(f"backend {role!r} must be a mapping")
-    known = {f.name for f in fields(BackendConfig)} - {"role"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"backend {role!r}: unknown keys {sorted(unknown)}")
-    if not raw.get("model"):
-        raise ConfigError(f"backend {role!r}: model is required")
-    values = {key: _COERCE.get(key, lambda value: value)(value) for key, value in raw.items()}
-    return BackendConfig(role=role, kind=values.pop("kind", "mock"), **values)
+        raise ConfigError("backends must be a mapping of role -> backend")
+    backends: Dict[str, BackendConfig] = {}
+    generators: List[BackendConfig] = []
+    for role, entry in raw.items():
+        if role == "generators":
+            if not isinstance(entry, list):
+                raise ConfigError("backends.generators must be a list")
+            generators = [
+                _read_backend(f"backends.generators[{i}]", "generator", e)
+                for i, e in enumerate(entry)
+            ]
+        elif role in ROLE_NAMES:
+            backends[role] = _read_backend(f"backends.{role}", role, entry)
+        else:
+            raise ConfigError(f"unknown backend role {role!r}, expected one of {ROLE_NAMES}")
+    if "generator" not in backends and generators:
+        backends["generator"] = generators[0]
+    if not generators and "generator" in backends:
+        generators = [backends["generator"]]
+    return backends, generators
 
 
 def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfig:
     """Load and validate a YAML run configuration."""
     with open(_require_file(path, "config file"), encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+        raw = yaml.safe_load(fh)
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p: Optional[str]) -> Optional[str]:
-        if p is None:
-            return None
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
+    def file_at(what: str) -> Callable[[object], str]:
+        # A relative path resolves against the config file's directory.
+        return lambda value: _require_file(os.path.join(base_dir, str(value)), what)
 
-    backends_raw = raw.get("backends") or {}
-    if not isinstance(backends_raw, dict):
-        raise ConfigError("backends must be a mapping of role -> backend")
-    backends: Dict[str, BackendConfig] = {}
-    generators: List[BackendConfig] = []
-    for role, entry in backends_raw.items():
-        if role == "generators":
-            if not isinstance(entry, list):
-                raise ConfigError("backends.generators must be a list")
-            generators = [_parse_backend("generator", e) for e in entry]
-            continue
-        if role not in ROLE_NAMES:
-            raise ConfigError(f"unknown backend role {role!r}, expected one of {ROLE_NAMES}")
-        backends[role] = _parse_backend(role, entry)
-    if "generator" not in backends and generators:
-        backends["generator"] = generators[0]
-    if not generators and "generator" in backends:
-        generators = [backends["generator"]]
-
-    gen_raw = raw.get("generation") or {}
-    gen_config = GenConfig(
-        temperature=float(gen_raw.get("temperature", 0.6)),
-        max_tokens=int(gen_raw.get("max_tokens", 256)),
-        seed=None if gen_raw.get("seed") is None else int(gen_raw["seed"]),
+    prompt_keys = {name: file_at(f"prompt template {name}") for name in defaults.PROMPT_NAMES}
+    root = _read(
+        "config root",
+        raw,
+        {
+            "backends": _read_backends,
+            "generation": lambda value: GenConfig(**_read("generation", value, _GENERATION_KEYS)),
+            "prompts": lambda value: _read("prompts", value, prompt_keys),
+            "category_file": file_at("category file"),
+            "rules_file": file_at("rules file"),
+            "overrides_file": file_at("overrides file"),
+            "cache_dir": str,
+            "seed": int,
+            "concurrency": int,
+            "questions_per_doc": int,
+        },
     )
-
-    category_path = resolve(raw.get("category_file"))
-    rules_path = resolve(raw.get("rules_file"))
-    overrides_path = resolve(raw.get("overrides_file"))
-    for p, what in (
-        (category_path, "category file"),
-        (rules_path, "rules file"),
-        (overrides_path, "overrides file"),
-    ):
-        if p is not None:
-            _require_file(p, what)
-
-    prompts_raw = raw.get("prompts") or {}
-    prompts: Dict[str, str] = {}
-    for name in defaults.PROMPT_NAMES:
-        prompt_path = resolve(prompts_raw.get(name))
-        if prompt_path is not None:
-            _require_file(prompt_path, f"prompt template {name}")
-        prompts[name] = defaults.load_prompt(name, prompt_path)
-
-    cache_dir = cache_dir_override if cache_dir_override is not None else raw.get("cache_dir")
-    if cache_dir is not None:
-        cache_dir = resolve(str(cache_dir))
-
+    backends, generators = root.pop("backends", ({}, []))
+    prompt_files = root.pop("prompts", {})
+    cache_dir = root.pop("cache_dir", None)
+    if cache_dir_override is not None:
+        cache_dir = cache_dir_override
     return RunConfig(
         backends=backends,
         generators=generators,
-        gen_config=gen_config,
-        category_set=defaults.load_category_set(category_path),
-        rules=load_filter_rules(rules_path),
-        overrides=load_overrides(overrides_path),
-        prompts=prompts,
-        cache_dir=cache_dir,
-        seed=int(raw.get("seed", 0)),
-        concurrency=int(raw.get("concurrency", 4)),
-        questions_per_doc=int(raw.get("questions_per_doc", 5)),
+        gen_config=root.pop("generation", GenConfig()),
+        category_set=defaults.load_category_set(root.pop("category_file", None)),
+        rules=load_filter_rules(root.pop("rules_file", None)),
+        overrides=load_overrides(root.pop("overrides_file", None)),
+        prompts={name: defaults.load_prompt(name, prompt_files.get(name)) for name in prompt_keys},
+        cache_dir=None if cache_dir is None else os.path.join(base_dir, cache_dir),
+        **root,  # seed, concurrency, questions_per_doc
     )

@@ -16,6 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
 from .listparse import parse_list_output
+from .records import _read_objects
 from .tasks import run_tasks
 from .types import CategorySet, GenConfig, Question, ReviewOverride, SourceDocument
 
@@ -60,28 +61,25 @@ class FilterDecision:
 
 def load_filter_rules(path: Optional[str] = None) -> List[FilterRule]:
     """Load filter rules from JSONL; packaged defaults when path is None."""
-    if path is None:
-        text = defaults.read_data_text("filter_rules.jsonl")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    text = defaults.read_file_or_data(path, "filter_rules.jsonl")
+    where = path or "packaged filter_rules.jsonl"
     rules = []
     seen = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, obj, diag in _read_objects(text.splitlines()):
         try:
-            obj = json.loads(line)
+            if diag is not None:
+                raise ValueError(diag.message)
             rule = FilterRule(
                 rule_id=str(obj["rule_id"]),
                 pattern=str(obj["pattern"]),
                 description=str(obj.get("description", "")),
             )
-        except (KeyError, TypeError, ValueError, re.error) as exc:
-            raise ValueError(f"bad filter rule on line {line_no}: {exc}") from exc
-        if rule.rule_id in seen:
-            raise ValueError(f"duplicate rule_id {rule.rule_id!r} on line {line_no}")
+            if rule.rule_id in seen:
+                raise ValueError(f"duplicate rule_id {rule.rule_id!r}")
+        except KeyError as exc:
+            raise ValueError(f"{where}: line {line_no}: missing key {exc}") from None
+        except (TypeError, ValueError, re.error) as exc:
+            raise ValueError(f"{where}: line {line_no}: {exc}") from None
         seen.add(rule.rule_id)
         rules.append(rule)
     return rules
@@ -122,16 +120,22 @@ class OverrideList:
         return ReviewOverride.NONE
 
 
+def _override_keys(value: object) -> frozenset:
+    if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
+        raise ValueError("must be a list of strings")
+    return frozenset(normalize_question_text(e) for e in value)
+
+
 def load_overrides(path: Optional[str] = None) -> OverrideList:
-    """Read {"force_keep": [...], "force_drop": [...]} from a JSON file."""
+    """Read {"force_keep": [...], "force_drop": [...]} (question ids or texts) from JSON."""
     if path is None:
         return OverrideList()
+    from .config import _read  # config imports this module
+
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return OverrideList(
-        force_keep=frozenset(normalize_question_text(str(e)) for e in obj.get("force_keep", [])),
-        force_drop=frozenset(normalize_question_text(str(e)) for e in obj.get("force_drop", [])),
-    )
+    keys = {"force_keep": _override_keys, "force_drop": _override_keys}
+    return OverrideList(**_read(f"overrides file {path}", obj, keys))
 
 
 def generate_questions(

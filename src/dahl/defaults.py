@@ -29,7 +29,8 @@ def read_data_text(name: str) -> str:
     return resources.files("dahl.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def _read_maybe(path: Optional[str], packaged_name: str) -> str:
+def read_file_or_data(path: Optional[str], packaged_name: str) -> str:
+    """The text of path, or of the packaged data file when path is None."""
     if path is None:
         return read_data_text(packaged_name)
     with open(path, encoding="utf-8") as fh:
@@ -47,7 +48,7 @@ def parse_line_file(text: str) -> List[str]:
 
 
 def load_category_set(path: Optional[str] = None) -> CategorySet:
-    labels = parse_line_file(_read_maybe(path, "categories.txt"))
+    labels = parse_line_file(read_file_or_data(path, "categories.txt"))
     return CategorySet(labels=tuple(labels))
 
 
@@ -63,7 +64,7 @@ def load_abbreviations() -> FrozenSet[str]:
 def load_prompt(name: str, path: Optional[str] = None) -> str:
     if name not in PROMPT_NAMES:
         raise ValueError(f"unknown prompt template {name!r}, expected one of {PROMPT_NAMES}")
-    return _read_maybe(path, f"prompts/{name}.txt")
+    return read_file_or_data(path, f"prompts/{name}.txt")
 
 
 def fill_template(name: str, template: Optional[str], **values: str) -> str:

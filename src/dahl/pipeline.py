@@ -16,7 +16,7 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import defaults
@@ -59,7 +59,12 @@ def _check_manifest(path: str, manifest: dict, resume: bool) -> None:
     """
     if resume and os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            previous = json.load(fh)
+            try:
+                previous = json.load(fh)
+            except ValueError:
+                previous = None
+        if not isinstance(previous, dict):
+            raise PipelineError(f"cannot resume: {path} does not hold a JSON object")
         for field in sorted(set(previous) | set(manifest)):
             if previous.get(field) != manifest.get(field):
                 raise PipelineError(
@@ -231,18 +236,13 @@ def run_temperature_ablation(
 
     rows: List[dict] = []
     for run_name, (generator, temperature) in cells.items():
-        gen_config = GenConfig(
-            temperature=temperature,
-            max_tokens=base_gen_config.max_tokens,
-            seed=base_gen_config.seed,
-        )
         result = run_evaluation(
             sample,
             os.path.join(out_dir, "runs", run_name),
             generator,
             splitter,
             checker,
-            gen_config,
+            replace(base_gen_config, temperature=temperature),
             prompts=prompts,
             resume=resume,
             concurrency=concurrency,

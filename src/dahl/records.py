@@ -57,22 +57,21 @@ def write_records(records: Iterable, path: str) -> int:
     return len(lines)
 
 
-def _read_objects(path: str):
-    """Yield (line_no, parsed dict or None, diagnostic or None) per line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                yield line_no, None, LineDiagnostic(line_no, f"invalid JSON: {exc}")
-                continue
-            if not isinstance(obj, dict):
-                yield line_no, None, LineDiagnostic(line_no, "line is not a JSON object")
-                continue
-            yield line_no, obj, None
+def _read_objects(lines: Iterable[str]):
+    """Yield (line_no, parsed dict or None, diagnostic or None) per non-blank line."""
+    for line_no, raw in enumerate(lines, start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            yield line_no, None, LineDiagnostic(line_no, f"invalid JSON: {exc}")
+            continue
+        if not isinstance(obj, dict):
+            yield line_no, None, LineDiagnostic(line_no, "line is not a JSON object")
+            continue
+        yield line_no, obj, None
 
 
 def _read_typed(path: str, parse: Callable, check: Optional[Callable] = None):
@@ -83,20 +82,21 @@ def _read_typed(path: str, parse: Callable, check: Optional[Callable] = None):
     """
     items = []
     diagnostics = []
-    for line_no, obj, diag in _read_objects(path):
-        if diag is not None:
-            diagnostics.append(diag)
-            continue
-        try:
-            item = parse(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            diagnostics.append(LineDiagnostic(line_no, f"cannot parse record: {exc}"))
-            continue
-        violations = check(item) if check is not None else []
-        if violations:
-            diagnostics.append(LineDiagnostic(line_no, "; ".join(violations)))
-            continue
-        items.append(item)
+    with open(path, encoding="utf-8") as fh:
+        for line_no, obj, diag in _read_objects(fh):
+            if diag is not None:
+                diagnostics.append(diag)
+                continue
+            try:
+                item = parse(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                diagnostics.append(LineDiagnostic(line_no, f"cannot parse record: {exc}"))
+                continue
+            violations = check(item) if check is not None else []
+            if violations:
+                diagnostics.append(LineDiagnostic(line_no, "; ".join(violations)))
+                continue
+            items.append(item)
     return items, diagnostics
 
 

@@ -643,3 +643,137 @@ def test_ablate_temperature_refuses_high_temps_by_default(
     )
     assert code == 1
     assert "1.5" in stderr and "allow" in stderr.lower()
+
+
+# ---------------------------------------------------------------------------
+# bad run inputs: one clean error naming the key or the line
+
+
+BACKENDS = """\
+backends:
+  generator: {kind: mock, model: g}
+  splitter: {kind: mock, model: s}
+  checker: {kind: mock, model: c}
+"""
+EVALUATE = ["evaluate", "--config", "{dir}/run.yaml", "--questions", "{questions}"]
+EVALUATE += ["--out", "{dir}/out"]
+GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
+
+
+@pytest.mark.parametrize(
+    "files, argv, expected",
+    [
+        (
+            {"run.yaml": BACKENDS + "seed: x\n"},
+            EVALUATE,
+            "config root: seed: invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            {"run.yaml": BACKENDS + "generation: 5\n"},
+            EVALUATE,
+            "generation must be a mapping, not int",
+        ),
+        (
+            {"run.yaml": BACKENDS + "generation: {temprature: 0.2}\n"},
+            EVALUATE,
+            "generation: unknown keys ['temprature']",
+        ),
+        (
+            {"run.yaml": BACKENDS + "cache_dr: c\n"},
+            EVALUATE,
+            "config root: unknown keys ['cache_dr']",
+        ),
+        (
+            {"run.yaml": BACKENDS + "prompts: {checkr: x.txt}\n"},
+            EVALUATE,
+            "prompts: unknown keys ['checkr']",
+        ),
+        (
+            {"run.yaml": BACKENDS.replace("model: c}", "model: c, max_concurrency: many}")},
+            EVALUATE,
+            "backends.checker: max_concurrency: invalid literal for int() with base 10: 'many'",
+        ),
+        (
+            {"run.yaml": BACKENDS + "overrides_file: o.json\n", "o.json": '["a"]'},
+            EVALUATE,
+            "overrides file {dir}/o.json must be a mapping, not list",
+        ),
+        (
+            {"run.yaml": BACKENDS + "overrides_file: o.json\n", "o.json": '{"force_keep": "abc"}'},
+            EVALUATE,
+            "overrides file {dir}/o.json: force_keep: must be a list of strings",
+        ),
+        (
+            {"run.yaml": BACKENDS + "overrides_file: o.json\n", "o.json": '{"force_kep": ["a"]}'},
+            EVALUATE,
+            "overrides file {dir}/o.json: unknown keys ['force_kep']",
+        ),
+        (
+            {
+                "run.yaml": BACKENDS + "rules_file: rules.jsonl\n",
+                "rules.jsonl": '{"rule_id": "ok", "pattern": "x"}\n{"pattern": "y"}\n',
+            },
+            EVALUATE,
+            "{dir}/rules.jsonl: line 2: missing key 'rule_id'",
+        ),
+        (
+            {"pairs.jsonl": GOOD_PAIRS + '{"x": 0.3, "y":\n'},
+            ["stats", "pearson", "--pairs", "{dir}/pairs.jsonl"],
+            "{dir}/pairs.jsonl: line 3: invalid JSON",
+        ),
+        (
+            {"pairs.jsonl": GOOD_PAIRS + '{"x": 0.3}\n'},
+            ["stats", "pearson", "--pairs", "{dir}/pairs.jsonl"],
+            "{dir}/pairs.jsonl: line 3: cannot parse record: 'y'",
+        ),
+        (
+            {"human.jsonl": '{"question_id": "h1", "score": 0.5}\n[0.5]\n'},
+            ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.jsonl"],
+            "{dir}/human.jsonl: line 2: line is not a JSON object",
+        ),
+    ],
+    ids=[
+        "seed-not-int",
+        "generation-not-mapping",
+        "generation-typo",
+        "root-typo",
+        "prompts-typo",
+        "backend-value",
+        "overrides-not-mapping",
+        "overrides-string-not-list",
+        "overrides-typo",
+        "rules-line",
+        "pearson-invalid-json",
+        "pearson-missing-y",
+        "human-not-object",
+    ],
+)
+def test_a_bad_run_input_fails_with_one_error_naming_where(
+    tmp_path, capsys, questions_path, files, argv, expected
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    _write_precision_records(tmp_path / "records.jsonl", {"h1": 0.5, "h2": 1.0})
+    fill = {"dir": str(tmp_path), "questions": questions_path}
+    code, stdout, stderr = run_cli(capsys, [arg.format(**fill) for arg in argv])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert expected.format(**fill) in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("text", ['{"checker_model": "mo', "[1, 2]"], ids=["torn", "list"])
+def test_resume_with_a_manifest_that_is_not_an_object_exits_1(
+    tmp_path, capsys, config_path, questions_path, text
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = out / "run_manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    argv = ["evaluate", "--config", config_path, "--questions", questions_path]
+    code, stdout, stderr = run_cli(capsys, argv + ["--out", str(out), "--resume"])
+    assert code == 1
+    assert stdout == ""
+    assert f"error: cannot resume: {manifest} does not hold a JSON object" in stderr
+    assert manifest.read_text(encoding="utf-8") == text

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from dahl.backends import CachedBackend, MockBackend, ThrottledBackend
+from dahl.backends import (
+    BackendSpec,
+    CachedBackend,
+    MockBackend,
+    RetryPolicy,
+    ThrottledBackend,
+    close_backend,
+)
 from dahl.config import ConfigError, load_config
-from dahl.defaults import PROMPT_NAMES
+from dahl.defaults import PROMPT_NAMES, load_prompt
+from dahl.types import GenConfig
 
 
 BASE = """
@@ -211,3 +221,74 @@ def test_empty_config_is_usable_for_pure_stats(tmp_path):
     cfg = load_config(str(path))
     assert cfg.backends == {}
     assert cfg.generators == []
+
+
+def test_null_values_are_unset_and_keep_their_defaults(tmp_path):
+    path = write_config(
+        tmp_path,
+        """
+backends:
+  generator: {kind: http, model: m, endpoint: http://unit.test/chat, max_concurrency: null}
+generation: {temperature: null, max_tokens: 64, seed: null}
+prompts: {checker: null}
+seed: null
+cache_dir: null
+""",
+    )
+    cfg = load_config(path)
+    assert cfg.gen_config == GenConfig(max_tokens=64)
+    assert cfg.seed == 0 and cfg.cache_dir is None
+    assert cfg.prompts["checker"] == load_prompt("checker")
+    backend = cfg.build_backend("generator")
+    try:
+        assert backend._inner.spec.max_concurrency == 4
+    finally:
+        close_backend(backend)
+
+
+def test_http_settings_reach_the_backend_spec_and_unset_ones_keep_its_defaults(tmp_path):
+    path = write_config(
+        tmp_path,
+        """
+backends:
+  generator:
+    kind: http
+    model: m
+    endpoint: http://unit.test/chat
+    auth_env: GEN_KEY
+    max_concurrency: "2"
+    timeout_s: 5
+    requests_per_second: 10
+    max_attempts: 3
+    base_backoff_s: 0.1
+  checker: {kind: http, model: c, endpoint: http://unit.test/check}
+""",
+    )
+    cfg = load_config(path)
+    generator = cfg.build_backend("generator")
+    checker = cfg.build_backend("checker")
+    try:
+        assert generator._inner.spec == BackendSpec(
+            backend_id="generator",
+            endpoint="http://unit.test/chat",
+            model="m",
+            auth_env="GEN_KEY",
+            max_concurrency=2,
+            timeout_s=5.0,
+            requests_per_second=10.0,
+            retry=RetryPolicy(max_attempts=3, base_backoff_s=0.1),
+        )
+        assert checker._inner.spec == BackendSpec(
+            backend_id="checker", endpoint="http://unit.test/check", model="c"
+        )
+    finally:
+        close_backend(generator)
+        close_backend(checker)
+
+
+def test_every_yaml_example_in_the_readme_loads(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme.read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        load_config(write_config(tmp_path, block, name=f"readme-{i}.yaml"))
