@@ -6,8 +6,8 @@ Four layers, composable from the inside out:
                      retries (exponential backoff plus jitter)
   ThrottledBackend   caps in-flight calls and request rate
   CachedBackend      response cache in one SQLite file, keyed by a
-                     hash of the request (and the endpoint, for HTTP),
-                     so reruns and resumes cost nothing
+                     hash of the request and of who it goes to, so
+                     reruns and resumes cost nothing
   MockBackend        deterministic offline stand-in for tests
 
 Auth tokens come only from environment variables named in the
@@ -23,7 +23,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
+from typing import Callable, Optional, Protocol, Sequence, Tuple, Union
 
 import requests
 
@@ -49,10 +49,10 @@ class MockMissError(PermanentBackendError):
 
 @dataclass(frozen=True)
 class ChatRequest:
-    backend_id: str
+    """What is sent; the backend it is sent to says who answers."""
+
     user_prompt: str
     gen_config: GenConfig
-    system_prompt: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.user_prompt:
@@ -101,7 +101,6 @@ class BackendSpec:
             raise ValueError("max_concurrency must be >= 1")
 
 
-@runtime_checkable
 class Backend(Protocol):
     backend_id: str
     model: str
@@ -144,6 +143,7 @@ class HttpBackend:
         self.spec = spec
         self.backend_id = spec.backend_id
         self.model = spec.model
+        self.endpoint = spec.endpoint
         self._owns_session = session is None
         self._session = session if session is not None else requests.Session()
         self._sleep = sleeper
@@ -161,13 +161,9 @@ class HttpBackend:
         return headers
 
     def _body(self, req: ChatRequest) -> dict:
-        messages = []
-        if req.system_prompt:
-            messages.append({"role": "system", "content": req.system_prompt})
-        messages.append({"role": "user", "content": req.user_prompt})
         body = {
             "model": self.spec.model,
-            "messages": messages,
+            "messages": [{"role": "user", "content": req.user_prompt}],
             "temperature": req.gen_config.temperature,
             "max_tokens": req.gen_config.max_tokens,
         }
@@ -297,6 +293,7 @@ class ThrottledBackend:
         self._inner = inner
         self.backend_id = inner.backend_id
         self.model = inner.model
+        self.endpoint = endpoint_of(inner)
         self._semaphore = threading.BoundedSemaphore(max_concurrency)
         self._bucket = (
             TokenBucket(requests_per_second, clock=clock, sleeper=sleeper)
@@ -314,16 +311,15 @@ class ThrottledBackend:
         close_backend(self._inner)
 
 
-def cache_key(req: ChatRequest, model: str, endpoint: Optional[str] = None) -> str:
-    """Content hash identifying a request for caching purposes."""
+def cache_key(req: ChatRequest, backend: Backend) -> str:
+    """Content hash of a request and of the role, model and endpoint it goes to."""
     material = dumps_compact(
         {
-            "backend_id": req.backend_id,
-            "endpoint": endpoint,
+            "backend_id": backend.backend_id,
+            "endpoint": endpoint_of(backend),
             "max_tokens": req.gen_config.max_tokens,
-            "model": model,
+            "model": backend.model,
             "seed": req.gen_config.seed,
-            "system_prompt": req.system_prompt,
             "temperature": req.gen_config.temperature,
             "user_prompt": req.user_prompt,
         }
@@ -335,17 +331,17 @@ class CachedBackend:
     """Response cache in front of another backend.
 
     One SQLite file, cache_dir/cache.sqlite, maps cache_key (request,
-    model and, for HTTP backends, endpoint) to the reply. WAL with
-    synchronous=NORMAL: a crash can lose the last entries, which only
-    costs misses. A row whose text or finish_reason is not a str is a
-    miss and gets overwritten; failures are never stored.
+    role, model and endpoint) to the reply. WAL with synchronous=NORMAL:
+    a crash can lose the last entries, which only costs misses. A row
+    whose text or finish_reason is not a str is a miss and gets
+    overwritten; failures are never stored.
     """
 
-    def __init__(self, inner: Backend, cache_dir: str, endpoint: Optional[str] = None) -> None:
+    def __init__(self, inner: Backend, cache_dir: str) -> None:
         self._inner = inner
         self.backend_id = inner.backend_id
         self.model = inner.model
-        self._endpoint = endpoint
+        self.endpoint = endpoint_of(inner)
         self._lock = threading.Lock()
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, "cache.sqlite")
@@ -360,7 +356,7 @@ class CachedBackend:
             raise ValueError(f"response cache {path}: {exc}") from exc
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        key = cache_key(req, self.model, self._endpoint)
+        key = cache_key(req, self)
         with self._lock:
             row = self._db.execute(
                 "SELECT text, finish_reason FROM responses WHERE key = ?", (key,)
@@ -449,6 +445,11 @@ def close_backend(backend: Backend) -> None:
         close()
 
 
+def endpoint_of(backend: Backend) -> Optional[str]:
+    """The URL a backend's calls go to; None for one without (a mock, say)."""
+    return getattr(backend, "endpoint", None)
+
+
 def build_http_backend(spec: BackendSpec, cache_dir: Optional[str] = None) -> Backend:
     """Assemble the standard stack: cache over throttle over HTTP."""
     backend: Backend = HttpBackend(spec)
@@ -456,5 +457,5 @@ def build_http_backend(spec: BackendSpec, cache_dir: Optional[str] = None) -> Ba
         backend, spec.max_concurrency, requests_per_second=spec.requests_per_second
     )
     if cache_dir:
-        backend = CachedBackend(backend, cache_dir, endpoint=spec.endpoint)
+        backend = CachedBackend(backend, cache_dir)
     return backend

@@ -13,27 +13,31 @@ from .types import EvalRecord, GenConfig, Status, Verdict
 # retrieval-backed endpoints from rambling.
 CHECKER_GEN = GenConfig(temperature=0.0, max_tokens=64)
 
+VERDICT_PARSER = 2  # the rules below, named in run_manifest.json; bump when they change
+
 _UNKNOWN = re.compile(r"\b(unknown|uncertain|unverifiable|cannot\s+verify|can't\s+verify)\b", re.I)
-_FALSE = re.compile(r"\b(false|incorrect|no)\b", re.I)
-_TRUE = re.compile(r"\b(true|correct|yes)\b", re.I)
+_VERDICT = re.compile(
+    r"(?P<negated>\b(?:not|never)\s+|n['\u2019]t\s+)?"
+    r"\b(?:(?P<false>false|incorrect|no)|true|correct|yes)\b",
+    re.I,
+)
 
 
 def parse_checker_output(raw: str) -> Verdict:
     """Map a checker reply to a Verdict. Total and deterministic.
 
     An explicit unknown/uncertain marker wins; otherwise the earliest
-    of the false/true token families decides; anything else is Unknown
-    rather than a guessed binary label.
+    true-family or false-family token decides, switched to the other
+    family when "not", "never" or "n't" stands directly before it ("not
+    true", "isn't correct"); anything else is Unknown rather than a
+    guessed binary label.
     """
     if _UNKNOWN.search(raw):
         return Verdict.UNKNOWN
-    false_hit = _FALSE.search(raw)
-    true_hit = _TRUE.search(raw)
-    if false_hit and (true_hit is None or false_hit.start() < true_hit.start()):
-        return Verdict.FALSE
-    if true_hit:
-        return Verdict.TRUE
-    return Verdict.UNKNOWN
+    hit = _VERDICT.search(raw)
+    if hit is None:
+        return Verdict.UNKNOWN
+    return Verdict.TRUE if (hit["false"] is None) == (hit["negated"] is None) else Verdict.FALSE
 
 
 def check_unit(
@@ -49,10 +53,7 @@ def check_unit(
     if not unit_text.strip():
         raise ValueError("unit text must be non-empty")
     prompt = defaults.fill_template("checker", prompt_template, unit=unit_text)
-    request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=CHECKER_GEN
-    )
-    resp = backend.complete(request)
+    resp = backend.complete(ChatRequest(prompt, CHECKER_GEN))
     return parse_checker_output(resp.text), resp.text
 
 

@@ -55,7 +55,15 @@ def _print_json(obj: dict) -> None:
 
 
 def _load_run_config(args) -> RunConfig:
-    return load_config(args.config, cache_dir_override=getattr(args, "cache_dir", None))
+    """The config file's settings, with the command line's overrides applied."""
+    cfg = load_config(args.config, cache_dir_override=getattr(args, "cache_dir", None))
+    for name in ("concurrency", "questions_per_doc"):
+        value = getattr(args, name, None)
+        if value is not None:
+            if value < 1:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+            setattr(cfg, name, value)
+    return cfg
 
 
 def _closed_on_exit(stack: contextlib.ExitStack, backend: Backend) -> Backend:
@@ -189,10 +197,10 @@ def cmd_build_dataset(args) -> int:
             cfg.rules,
             cfg.overrides,
             cfg.category_set,
-            questions_per_doc=args.questions_per_doc or cfg.questions_per_doc,
+            questions_per_doc=cfg.questions_per_doc,
             question_prompt=cfg.prompts["question_generation"],
             categorizer_prompt=cfg.prompts["categorizer"],
-            concurrency=args.concurrency or cfg.concurrency,
+            concurrency=cfg.concurrency,
         )
 
     os.makedirs(args.out, exist_ok=True)
@@ -234,7 +242,7 @@ def cmd_evaluate(args) -> int:
             prompts=cfg.prompts,
             resume=args.resume,
             stop_after=args.stop_after,
-            concurrency=args.concurrency or cfg.concurrency,
+            concurrency=cfg.concurrency,
         )
     if result.report is None:
         print(f"stopped after {args.stop_after}: {result.records_path}", file=sys.stderr)
@@ -297,7 +305,7 @@ def cmd_ablate_temperature(args) -> int:
             prompts=cfg.prompts,
             fraction=args.fraction,
             seed=args.seed if args.seed is not None else cfg.seed,
-            concurrency=args.concurrency or cfg.concurrency,
+            concurrency=cfg.concurrency,
             allow_high_temperatures=args.allow_high_temps,
             resume=args.resume,
         )

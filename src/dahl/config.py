@@ -53,17 +53,31 @@ def _read(where: str, raw: object, schema: Dict[str, Callable]) -> dict:
     return values
 
 
-_GENERATION_KEYS = {"temperature": float, "max_tokens": int, "seed": int}
+def _int(value: object) -> int:
+    """int(), refusing what it would silently change: a bool or a fractional float."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _count(value: object) -> int:
+    number = _int(value)
+    if number < 1:
+        raise ValueError(f"must be >= 1, got {number}")
+    return number
+
+
+_GENERATION_KEYS = {"temperature": float, "max_tokens": _int, "seed": _int}
 _BACKEND_KEYS = {"kind": str, "model": str, "behavior": str, "reply": str}
 # BackendSpec and RetryPolicy fields; an unset one keeps its default there.
 _HTTP_KEYS = {
     "endpoint": str,
     "auth_env": str,
-    "max_concurrency": int,
+    "max_concurrency": _count,
     "timeout_s": float,
     "requests_per_second": float,
 }
-_RETRY_KEYS = {"max_attempts": int, "base_backoff_s": float}
+_RETRY_KEYS = {"max_attempts": _count, "base_backoff_s": float}
 
 
 @dataclass(frozen=True)
@@ -180,9 +194,9 @@ def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfi
             "rules_file": file_at("rules file"),
             "overrides_file": file_at("overrides file"),
             "cache_dir": str,
-            "seed": int,
-            "concurrency": int,
-            "questions_per_doc": int,
+            "seed": _int,
+            "concurrency": _count,
+            "questions_per_doc": _count,
         },
     )
     backends, generators = root.pop("backends", ({}, []))

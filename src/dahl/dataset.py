@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
@@ -130,10 +130,13 @@ def load_overrides(path: Optional[str] = None) -> OverrideList:
     """Read {"force_keep": [...], "force_drop": [...]} (question ids or texts) from JSON."""
     if path is None:
         return OverrideList()
-    from .config import _read  # config imports this module
+    from .config import ConfigError, _read  # config imports this module
 
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"overrides file {path}: {exc}") from None
     keys = {"force_keep": _override_keys, "force_drop": _override_keys}
     return OverrideList(**_read(f"overrides file {path}", obj, keys))
 
@@ -158,10 +161,7 @@ def generate_questions(
         body=doc.body,
         n=str(questions_per_doc),
     )
-    request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=GENERATOR_GEN
-    )
-    resp = backend.complete(request)
+    resp = backend.complete(ChatRequest(prompt, GENERATOR_GEN))
 
     questions = []
     seen = set()
@@ -184,21 +184,6 @@ def filter_context_dependent(text: str, rules: Sequence[FilterRule]) -> FilterDe
     """Match every rule against the question; any match means drop."""
     matched = tuple(rule.rule_id for rule in rules if rule.regex.search(text))
     return FilterDecision(keep=not matched, rule_ids=matched)
-
-
-def apply_review_overrides(
-    questions: Iterable[Question], overrides: OverrideList
-) -> List[Question]:
-    """Layer manual decisions over filter decisions, in place.
-
-    force_keep flips an automatic drop back to keep; force_drop wins
-    over everything. The filter trace is preserved as provenance.
-    """
-    out = []
-    for q in questions:
-        q.review_override = overrides.override_for(q.question_id, q.text)
-        out.append(q)
-    return out
 
 
 @dataclass(frozen=True)
@@ -256,10 +241,7 @@ def categorize(
         question=text,
         labels=category_set.prompt_block,
     )
-    request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=CATEGORIZER_GEN
-    )
-    resp = backend.complete(request)
+    resp = backend.complete(ChatRequest(prompt, CATEGORIZER_GEN))
     return resolve_category_reply(resp.text, category_set)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import defaults
-from .backends import Backend
-from .check import check_response
+from .backends import Backend, endpoint_of
+from .check import VERDICT_PARSER, check_response
 from .records import atomic_write_text, dumps_compact, read_eval_records, write_records
 from .responses import generate_response, preprocess, render_question_prompt
 from .score import dahl_score, render_report
@@ -113,12 +113,10 @@ def run_evaluation(
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, "records.jsonl")
     journal_path = os.path.join(out_dir, "records.journal.jsonl")
-    manifest = {
-        "generator_model": generator.model,
-        "splitter_model": splitter.model,
-        "checker_model": checker.model,
-        "gen_config": gen_config.to_dict(),
-    }
+    manifest = {"gen_config": gen_config.to_dict(), "verdict_parser": VERDICT_PARSER}
+    for role, backend in (("generator", generator), ("splitter", splitter), ("checker", checker)):
+        manifest[f"{role}_model"] = backend.model
+        manifest[f"{role}_endpoint"] = endpoint_of(backend)
     for name in ("response_generation", "splitter", "checker"):
         template = defaults.fill_template(name, prompts.get(name))
         manifest[f"{name}_prompt_sha256"] = hashlib.sha256(template.encode("utf-8")).hexdigest()

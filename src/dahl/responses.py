@@ -225,11 +225,8 @@ def generate_response(
         gen_config=gen_config,
         category=question.category,
     )
-    request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=gen_config
-    )
     try:
-        resp = backend.complete(request)
+        resp = backend.complete(ChatRequest(prompt, gen_config))
     except BackendError as exc:
         record.status = Status.FAILED
         record.error = str(exc)

@@ -42,11 +42,8 @@ def split_into_units(
     if not record.preprocessed:
         raise ValueError("split requires non-empty preprocessed text")
     prompt = defaults.fill_template("splitter", prompt_template, response=record.preprocessed)
-    request = ChatRequest(
-        backend_id=backend.backend_id, user_prompt=prompt, gen_config=SPLITTER_GEN
-    )
     try:
-        resp = backend.complete(request)
+        resp = backend.complete(ChatRequest(prompt, SPLITTER_GEN))
         texts = parse_splitter_output(resp.text)
     except (BackendError, SplitParseError) as exc:
         record.status = Status.FAILED

@@ -22,7 +22,6 @@ from dahl.backends import MockBackend
 from dahl.check import check_response
 from dahl.dataset import (
     OverrideList,
-    apply_review_overrides,
     filter_context_dependent,
     load_filter_rules,
     make_question_id,
@@ -235,7 +234,7 @@ def test_criterion_4_filter_corpus():
         filter_trace=list(filter_context_dependent(REVIEWER_DROP_TEXT, rules).rule_ids),
     )
     overrides = OverrideList(force_drop=frozenset({normalize_question_text(REVIEWER_DROP_TEXT)}))
-    apply_review_overrides([question], overrides)
+    question.review_override = overrides.override_for(question.question_id, question.text)
     checks.append(
         (
             "reviewer force_drop removes the manual example",

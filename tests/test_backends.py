@@ -10,6 +10,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -78,18 +79,16 @@ def spec(**kwargs):
     return BackendSpec(**defaults)
 
 
-def request(prompt="Say something.", temperature=0.6, max_tokens=64, seed=None, system=None):
+def request(prompt="Say something.", temperature=0.6, max_tokens=64, seed=None):
     return ChatRequest(
-        backend_id="gen",
         user_prompt=prompt,
         gen_config=GenConfig(temperature=temperature, max_tokens=max_tokens, seed=seed),
-        system_prompt=system,
     )
 
 
 def test_chat_request_rejects_empty_prompt():
     with pytest.raises(ValueError):
-        ChatRequest(backend_id="b", user_prompt="", gen_config=GenConfig())
+        ChatRequest(user_prompt="", gen_config=GenConfig())
 
 
 def test_http_success_first_try():
@@ -108,13 +107,12 @@ def test_http_success_first_try():
     assert body["messages"] == [{"role": "user", "content": "Say something."}]
 
 
-def test_http_request_carries_seed_and_system_prompt():
+def test_http_request_carries_seed():
     session = FakeSession([FakeResponse(200, ok_payload())])
     backend = HttpBackend(spec(), session=session)
-    backend.complete(request(seed=7, system="Be terse."))
+    backend.complete(request(seed=7))
     body = session.calls[0]["json"]
     assert body["seed"] == 7
-    assert body["messages"][0] == {"role": "system", "content": "Be terse."}
 
 
 def test_http_retries_429_then_succeeds():
@@ -291,19 +289,23 @@ def test_throttled_backend_validates_concurrency():
 # caching
 
 
+def addressee(role="gen", model="model-x", endpoint=None):
+    """Just the attributes cache_key reads from a backend."""
+    return SimpleNamespace(backend_id=role, model=model, endpoint=endpoint)
+
+
 def test_cache_key_depends_on_every_field():
     base = request("prompt A", temperature=0.2, max_tokens=10, seed=1)
-    k = cache_key(base, "model-x")
-    assert k != cache_key(request("prompt B", temperature=0.2, max_tokens=10, seed=1), "model-x")
-    assert k != cache_key(request("prompt A", temperature=0.3, max_tokens=10, seed=1), "model-x")
-    assert k != cache_key(request("prompt A", temperature=0.2, max_tokens=11, seed=1), "model-x")
-    assert k != cache_key(request("prompt A", temperature=0.2, max_tokens=10, seed=2), "model-x")
-    assert k != cache_key(base, "model-y")
-    assert k != cache_key(base, "model-x", "http://b.test/v1/chat")
-    assert k != cache_key(
-        request("prompt A", temperature=0.2, max_tokens=10, seed=1, system="S"), "model-x"
-    )
-    assert k == cache_key(request("prompt A", temperature=0.2, max_tokens=10, seed=1), "model-x")
+    to = addressee()
+    k = cache_key(base, to)
+    assert k != cache_key(request("prompt B", temperature=0.2, max_tokens=10, seed=1), to)
+    assert k != cache_key(request("prompt A", temperature=0.3, max_tokens=10, seed=1), to)
+    assert k != cache_key(request("prompt A", temperature=0.2, max_tokens=11, seed=1), to)
+    assert k != cache_key(request("prompt A", temperature=0.2, max_tokens=10, seed=2), to)
+    assert k != cache_key(base, addressee(model="model-y"))
+    assert k != cache_key(base, addressee(endpoint="http://b.test/v1/chat"))
+    assert k != cache_key(base, addressee(role="checker"))
+    assert k == cache_key(request("prompt A", temperature=0.2, max_tokens=10, seed=1), to)
 
 
 def test_cache_hit_skips_inner_backend(tmp_path):
@@ -342,7 +344,7 @@ def test_cache_is_one_sqlite_file_that_persists_across_instances(tmp_path):
     inner = MockBackend(default="stored", model="m")
     CachedBackend(inner, str(tmp_path)).complete(request("persist me"))
     assert set(os.listdir(tmp_path)) <= {"cache.sqlite", "cache.sqlite-wal", "cache.sqlite-shm"}
-    assert _rows(tmp_path) == [(cache_key(request("persist me"), "m"), "stored", "stop")]
+    assert _rows(tmp_path) == [(cache_key(request("persist me"), inner), "stored", "stop")]
 
     resp = CachedBackend(inner, str(tmp_path)).complete(request("persist me"))
     assert resp.from_cache and resp.text == "stored"
@@ -358,7 +360,7 @@ def test_corrupt_cache_entry_is_a_miss_and_gets_rewritten(tmp_path):
     resp = cached.complete(req)
     assert not resp.from_cache
     assert inner.calls == 2
-    assert _rows(tmp_path) == [(cache_key(req, "m"), "fresh", "stop")]
+    assert _rows(tmp_path) == [(cache_key(req, inner), "fresh", "stop")]
     assert cached.complete(req).from_cache
 
 

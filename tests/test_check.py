@@ -40,6 +40,24 @@ def test_earliest_binary_token_wins():
     assert parse_checker_output("True, not false at all.") is Verdict.TRUE
 
 
+@pytest.mark.parametrize(
+    "raw,want",
+    [
+        ("Not true.", Verdict.FALSE),
+        ("This is not correct.", Verdict.FALSE),
+        ("It isn't true", Verdict.FALSE),
+        ("It isn\u2019t true", Verdict.FALSE),
+        ("Never true in adults.", Verdict.FALSE),
+        ("Not correct: the dose is 10 mg.", Verdict.FALSE),
+        ("Not false.", Verdict.TRUE),
+        ("This is not incorrect.", Verdict.TRUE),
+        ("True, not false at all.", Verdict.TRUE),
+    ],
+)
+def test_a_negator_right_before_a_verdict_token_switches_its_family(raw, want):
+    assert parse_checker_output(raw) is want
+
+
 def test_word_boundaries_respected():
     # "notrue" and "falsely" must not count as verdict tokens
     assert parse_checker_output("notrue gibberish") is Verdict.UNKNOWN

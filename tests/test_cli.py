@@ -694,6 +694,57 @@ GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
             "backends.checker: max_concurrency: invalid literal for int() with base 10: 'many'",
         ),
         (
+            {"run.yaml": BACKENDS + "concurrency: 2.7\n"},
+            EVALUATE,
+            "config root: concurrency: not an integer: 2.7",
+        ),
+        (
+            {"run.yaml": BACKENDS + "seed: 1.5\n"},
+            EVALUATE,
+            "config root: seed: not an integer: 1.5",
+        ),
+        (
+            {"run.yaml": BACKENDS + "generation: {max_tokens: true}\n"},
+            EVALUATE,
+            "generation: max_tokens: not an integer: True",
+        ),
+        (
+            {"run.yaml": BACKENDS + "concurrency: -3\n"},
+            EVALUATE,
+            "config root: concurrency: must be >= 1, got -3",
+        ),
+        (
+            {"run.yaml": BACKENDS + "questions_per_doc: 0\n"},
+            EVALUATE,
+            "config root: questions_per_doc: must be >= 1, got 0",
+        ),
+        (
+            {
+                "run.yaml": BACKENDS.replace(
+                    "{kind: mock, model: c}",
+                    "{kind: http, model: c, endpoint: 'http://unit.test/v1', max_concurrency: 0}",
+                )
+            },
+            EVALUATE,
+            "backends.checker: max_concurrency: must be >= 1, got 0",
+        ),
+        (
+            {"run.yaml": BACKENDS},
+            EVALUATE + ["--concurrency", "0"],
+            "--concurrency must be >= 1, got 0",
+        ),
+        (
+            {"run.yaml": BACKENDS},
+            ["build-dataset", "--config", "{dir}/run.yaml", "--corpus", "{dir}/corpus.jsonl"]
+            + ["--out", "{dir}/built", "--questions-per-doc", "0"],
+            "--questions-per-doc must be >= 1, got 0",
+        ),
+        (
+            {"run.yaml": BACKENDS + "overrides_file: o.json\n", "o.json": '{"force_keep": ['},
+            EVALUATE,
+            "overrides file {dir}/o.json: Expecting value: line 1 column 17 (char 16)",
+        ),
+        (
             {"run.yaml": BACKENDS + "overrides_file: o.json\n", "o.json": '["a"]'},
             EVALUATE,
             "overrides file {dir}/o.json must be a mapping, not list",
@@ -739,6 +790,15 @@ GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
         "root-typo",
         "prompts-typo",
         "backend-value",
+        "concurrency-fraction",
+        "seed-fraction",
+        "max-tokens-bool",
+        "concurrency-negative",
+        "questions-per-doc-zero",
+        "max-concurrency-zero",
+        "concurrency-flag-zero",
+        "questions-per-doc-flag-zero",
+        "overrides-not-json",
         "overrides-not-mapping",
         "overrides-string-not-list",
         "overrides-typo",

@@ -91,9 +91,7 @@ backends:
     from dahl.backends import ChatRequest
     from dahl.types import GenConfig
 
-    resp = backend.complete(
-        ChatRequest(backend_id="x", user_prompt="anything", gen_config=GenConfig())
-    )
+    resp = backend.complete(ChatRequest(user_prompt="anything", gen_config=GenConfig()))
     assert resp.text == "True"
 
 

@@ -18,7 +18,6 @@ from dahl.dataset import (
     FilterRule,
     OverrideList,
     QuestionParseError,
-    apply_review_overrides,
     build_dataset,
     categorize,
     filter_context_dependent,
@@ -213,7 +212,7 @@ def test_reviewer_can_drop_a_question_the_filter_missed():
         filter_trace=list(_matched(text)),
     )
     ov = OverrideList(force_drop=frozenset({normalize_question_text(text)}))
-    apply_review_overrides([q], ov)
+    q.review_override = ov.override_for(q.question_id, q.text)
     assert q.review_override is ReviewOverride.FORCE_DROP
     assert not q.kept
 
@@ -222,7 +221,8 @@ def test_force_keep_restores_a_filtered_question():
     q = make_question(text="What was reported about survival?")
     q.filter_trace = ["report_verb"]
     assert not q.kept
-    apply_review_overrides([q], OverrideList(force_keep=frozenset({q.question_id})))
+    ov = OverrideList(force_keep=frozenset({q.question_id}))
+    q.review_override = ov.override_for(q.question_id, q.text)
     assert q.kept
     assert q.filter_trace == ["report_verb"]  # provenance preserved
 

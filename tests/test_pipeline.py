@@ -202,6 +202,31 @@ def test_resume_refuses_a_changed_checker_model(tmp_path):
     assert (tmp_path / "records.jsonl").read_bytes() == before
 
 
+def test_resume_refuses_a_checker_moved_to_another_endpoint(tmp_path):
+    generator, splitter, checker = _backends()
+    checker.endpoint = "http://a.test/v1/chat"
+    _run(tmp_path, QUESTIONS, generator, splitter, checker, stop_after="split")
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["checker_endpoint"] == "http://a.test/v1/chat"
+    assert manifest["generator_endpoint"] is None
+
+    checker.endpoint = "http://b.test/v1/chat"
+    with pytest.raises(PipelineError, match="checker_endpoint was 'http://a.test/v1/chat'"):
+        _run(tmp_path, QUESTIONS, generator, splitter, checker, resume=True)
+    assert checker.calls == 0
+
+
+def test_resume_refuses_a_run_checked_by_the_previous_verdict_parser(tmp_path):
+    _run(tmp_path, QUESTIONS, *_backends(), stop_after="check")
+    path = tmp_path / "run_manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["verdict_parser"]  # as written before the parser had an identity
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    with pytest.raises(PipelineError, match="verdict_parser was None, now 2"):
+        _run(tmp_path, QUESTIONS, *_backends(), resume=True)
+
+
 def test_resume_of_a_run_without_manifest_writes_one_and_continues(tmp_path):
     _run(tmp_path / "straight", QUESTIONS, *_backends())
     out = tmp_path / "out"
