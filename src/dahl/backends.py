@@ -78,7 +78,9 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ValueError(f"max_attempts: must be >= 1, got {self.max_attempts}")
+        if not self.base_backoff_s >= 0:
+            raise ValueError(f"base_backoff_s: must be >= 0, got {self.base_backoff_s}")
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,20 @@ class BackendSpec:
     auth_env: Optional[str] = None
     max_concurrency: int = 4
     timeout_s: float = 60.0
-    requests_per_second: Optional[float] = None
+    requests_per_second: Optional[float] = None  # None: no limit
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if not self.backend_id:
-            raise ValueError("backend_id must be non-empty")
+            raise ValueError("backend_id: must be non-empty")
         if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
+            raise ValueError(f"max_concurrency: must be >= 1, got {self.max_concurrency}")
+        if not self.timeout_s > 0:
+            raise ValueError(f"timeout_s: must be > 0, got {self.timeout_s}")
+        if self.requests_per_second is not None and not self.requests_per_second > 0:
+            raise ValueError(
+                f"requests_per_second: must be > 0 or unset, got {self.requests_per_second}"
+            )
 
 
 class Backend(Protocol):
@@ -126,11 +134,12 @@ def _normalize_finish_reason(raw: Optional[str]) -> str:
 class HttpBackend:
     """Plain JSON chat-completion client with retry logic.
 
-    The session and sleep function are injectable for tests. 429 and
-    5xx responses, timeouts, connection drops, and bodies cut off or
-    garbled in transit are retried with exponential backoff and jitter;
-    other 4xx and any other transport error fail immediately. Every
-    failure surfaces as a BackendError.
+    The auth token is read once, on construction, which fails if its
+    variable is unset. The session and sleep function are injectable
+    for tests. 429 and 5xx responses, timeouts, connection drops, and
+    bodies cut off or garbled in transit are retried with exponential
+    backoff and jitter; other 4xx and any other transport error fail
+    immediately. Every failure surfaces as a BackendError.
     """
 
     def __init__(
@@ -144,21 +153,18 @@ class HttpBackend:
         self.backend_id = spec.backend_id
         self.model = spec.model
         self.endpoint = spec.endpoint
+        self._headers = {"Content-Type": "application/json"}
+        if spec.auth_env:
+            token = os.environ.get(spec.auth_env)
+            if not token:
+                raise PermanentBackendError(
+                    f"backend {self.backend_id}: auth env var {spec.auth_env} is not set"
+                )
+            self._headers["Authorization"] = f"Bearer {token}"
         self._owns_session = session is None
         self._session = session if session is not None else requests.Session()
         self._sleep = sleeper
         self._rng = rng if rng is not None else random.Random()
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.spec.auth_env:
-            token = os.environ.get(self.spec.auth_env)
-            if not token:
-                raise PermanentBackendError(
-                    f"backend {self.backend_id}: auth env var {self.spec.auth_env} is not set"
-                )
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
 
     def _body(self, req: ChatRequest) -> dict:
         body = {
@@ -192,7 +198,6 @@ class HttpBackend:
         return self._rng.uniform(delay / 2.0, delay)
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        headers = self._headers()
         body = self._body(req)
         policy = self.spec.retry
         last_failure = "no attempt made"
@@ -200,7 +205,7 @@ class HttpBackend:
         for attempt in range(1, policy.max_attempts + 1):
             try:
                 resp = self._session.post(
-                    self.spec.endpoint, json=body, headers=headers, timeout=self.spec.timeout_s
+                    self.endpoint, json=body, headers=self._headers, timeout=self.spec.timeout_s
                 )
             except _TRANSIENT_TRANSPORT_ERRORS as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
@@ -297,7 +302,7 @@ class ThrottledBackend:
         self._semaphore = threading.BoundedSemaphore(max_concurrency)
         self._bucket = (
             TokenBucket(requests_per_second, clock=clock, sleeper=sleeper)
-            if requests_per_second
+            if requests_per_second is not None
             else None
         )
 

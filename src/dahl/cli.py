@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .backends import Backend, close_backend
+from .backends import Backend, BackendError, close_backend
 from .config import RunConfig, load_config
 from .dataset import build_dataset
 from .pipeline import (
@@ -291,7 +291,7 @@ def cmd_ablate_temperature(args) -> int:
         raise ValueError(f"cannot parse temperatures from {args.temps!r}") from None
 
     with contextlib.ExitStack() as backends:
-        generators = [_closed_on_exit(backends, g.build(cfg.cache_dir)) for g in cfg.generators]
+        generators = [_closed_on_exit(backends, cfg.build(g)) for g in cfg.generators]
         splitter = _closed_on_exit(backends, cfg.build_backend("splitter"))
         checker = _closed_on_exit(backends, cfg.build_backend("checker"))
         rows = run_temperature_ablation(
@@ -475,10 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # ConfigError and NoScorableResponsesError are ValueErrors.
+    # ConfigError and NoScorableResponsesError are ValueErrors; a BackendError that
+    # escapes a command is a backend that cannot be built (an unset auth variable).
     try:
         return args.func(args)
-    except (PipelineError, ValueError, OSError) as exc:
+    except (BackendError, PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

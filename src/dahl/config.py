@@ -1,16 +1,17 @@
 """Run configuration: one YAML file describing backends, prompts, data.
 
 Secrets never live in the file; HTTP backends name an environment
-variable instead. Every mapping is read through one checked reader and
-every referenced path is checked at load time, so a typo fails before
-any work starts, naming the key.
+variable instead. Every mapping is read through one checked reader, each
+backend entry becomes what it builds (a mock, or an HTTP BackendSpec),
+and every referenced path is checked at load time, so a typo fails
+before any work starts, naming the key.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import yaml
 
@@ -67,54 +68,37 @@ def _count(value: object) -> int:
     return number
 
 
-_GENERATION_KEYS = {"temperature": float, "max_tokens": _int, "seed": _int}
-_BACKEND_KEYS = {"kind": str, "model": str, "behavior": str, "reply": str}
-# BackendSpec and RetryPolicy fields; an unset one keeps its default there.
+def _float(value: object) -> float:
+    """float(), refusing a bool, which it would turn into 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+_GENERATION_KEYS = {"temperature": _float, "max_tokens": _int, "seed": _int}
+_MOCK_KEYS = {"behavior": mocks.get_behavior, "reply": str}
+# BackendSpec fields, then RetryPolicy fields; each checks its own range, and an unset one
+# keeps its default there.
 _HTTP_KEYS = {
     "endpoint": str,
     "auth_env": str,
-    "max_concurrency": _count,
-    "timeout_s": float,
-    "requests_per_second": float,
+    "max_concurrency": _int,
+    "timeout_s": _float,
+    "requests_per_second": _float,
 }
-_RETRY_KEYS = {"max_attempts": _count, "base_backoff_s": float}
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    """One backend entry as read from the config file."""
-
-    role: str
-    model: str
-    kind: str = "mock"  # or "http"
-    behavior: Optional[str] = None  # mock only
-    reply: Optional[str] = None  # mock only: constant reply text
-    http: Dict[str, object] = field(default_factory=dict)  # http only: the _HTTP_KEYS set
-    retry: Dict[str, object] = field(default_factory=dict)  # http only: the _RETRY_KEYS set
-
-    def build(self, cache_dir: Optional[str]) -> Backend:
-        if self.kind == "mock":
-            if self.reply is not None:
-                default = self.reply
-            else:
-                default = mocks.get_behavior(self.behavior or self.role)
-            return MockBackend(default=default, backend_id=self.role, model=self.model)
-        if self.kind == "http":
-            if "endpoint" not in self.http:
-                raise ConfigError(f"backend {self.role}: http kind requires an endpoint")
-            spec = BackendSpec(
-                backend_id=self.role, model=self.model, retry=RetryPolicy(**self.retry), **self.http
-            )
-            return build_http_backend(spec, cache_dir)
-        raise ConfigError(f"backend {self.role}: unknown kind {self.kind!r}")
+_RETRY_KEYS = {"max_attempts": _int, "base_backoff_s": _float}
+_ENTRY_KEYS = {"kind": str, "model": str, **_MOCK_KEYS, **_HTTP_KEYS, **_RETRY_KEYS}
+_KIND_KEYS = {"mock": _MOCK_KEYS, "http": {**_HTTP_KEYS, **_RETRY_KEYS}}
+# A backend entry: a mock, built at load time, or the spec of an HTTP stack.
+Entry = Union[MockBackend, BackendSpec]
 
 
 @dataclass
 class RunConfig:
     """Fully resolved configuration for one run."""
 
-    backends: Dict[str, BackendConfig]
-    generators: List[BackendConfig]
+    backends: Dict[str, Entry]
+    generators: List[Entry]
     gen_config: GenConfig
     category_set: CategorySet
     rules: List[FilterRule]
@@ -125,12 +109,16 @@ class RunConfig:
     concurrency: int = 4
     questions_per_doc: int = 5
 
+    def build(self, entry: Entry) -> Backend:
+        """The mock itself, or the HTTP stack a spec describes (cached if cache_dir is set)."""
+        if isinstance(entry, BackendSpec):
+            return build_http_backend(entry, self.cache_dir)
+        return entry
+
     def build_backend(self, role: str) -> Backend:
-        try:
-            cfg = self.backends[role]
-        except KeyError:
-            raise ConfigError(f"no backend configured for role {role!r}") from None
-        return cfg.build(self.cache_dir)
+        if role not in self.backends:
+            raise ConfigError(f"no backend configured for role {role!r}")
+        return self.build(self.backends[role])
 
 
 def _require_file(path: str, what: str) -> str:
@@ -139,20 +127,35 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _read_backend(where: str, role: str, raw: object) -> BackendConfig:
-    values = _read(where, raw, {**_BACKEND_KEYS, **_HTTP_KEYS, **_RETRY_KEYS})
+def _read_backend(where: str, role: str, raw: object) -> Entry:
+    """One backend entry, checked whole against the keys of its kind (mock by default)."""
+    values = _read(where, raw, _ENTRY_KEYS)
+    kind = values.pop("kind", "mock")
+    if kind not in _KIND_KEYS:
+        raise ConfigError(f"{where}: kind: must be http or mock, not {kind!r}")
+    stray = sorted(set(values) - {"model", *_KIND_KEYS[kind]})
+    if stray:
+        other = "mock" if kind == "http" else "http"
+        raise ConfigError(f"{where}: {stray} apply only to kind {other}; set kind: {other}")
     if not values.get("model"):
         raise ConfigError(f"{where}: model is required")
-    http = {key: values.pop(key) for key in _HTTP_KEYS if key in values}
-    retry = {key: values.pop(key) for key in _RETRY_KEYS if key in values}
-    return BackendConfig(role=role, http=http, retry=retry, **values)
+    if kind == "mock":
+        default = values.get("reply", values.get("behavior", mocks.get_behavior(role)))
+        return MockBackend(default=default, backend_id=role, model=values["model"])
+    if not values.get("endpoint"):
+        raise ConfigError(f"{where}: endpoint is required for kind http")
+    try:
+        retry = RetryPolicy(**{key: values.pop(key) for key in _RETRY_KEYS if key in values})
+        return BackendSpec(backend_id=role, retry=retry, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _read_backends(raw: object) -> Tuple[Dict[str, BackendConfig], List[BackendConfig]]:
+def _read_backends(raw: object) -> Tuple[Dict[str, Entry], List[Entry]]:
     if not isinstance(raw, dict):
         raise ConfigError("backends must be a mapping of role -> backend")
-    backends: Dict[str, BackendConfig] = {}
-    generators: List[BackendConfig] = []
+    backends: Dict[str, Entry] = {}
+    generators: List[Entry] = []
     for role, entry in raw.items():
         if role == "generators":
             if not isinstance(entry, list):

@@ -51,11 +51,11 @@ def write_report_files(report: ScoreReport, out_dir: str) -> None:
         )
 
 
-def _check_manifest(path: str, manifest: dict, resume: bool) -> None:
+def _check_manifest(path: str, manifest: dict, resume: bool, has_records: bool) -> None:
     """Refuse a resume whose settings differ from the run it continues.
 
-    A run with no manifest yet (a fresh run, or one written before
-    manifests existed) gets one.
+    A fresh run gets a manifest, and so does a resume with no records
+    yet; records without a manifest have unknown settings and are refused.
     """
     if resume and os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
@@ -72,6 +72,8 @@ def _check_manifest(path: str, manifest: dict, resume: bool) -> None:
                     f"{manifest.get(field)!r} (see {path})"
                 )
         return
+    if resume and has_records:
+        raise PipelineError(f"cannot resume: no {path}, so the records' settings are unknown")
     atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -120,7 +122,8 @@ def run_evaluation(
     for name in ("response_generation", "splitter", "checker"):
         template = defaults.fill_template(name, prompts.get(name))
         manifest[f"{name}_prompt_sha256"] = hashlib.sha256(template.encode("utf-8")).hexdigest()
-    _check_manifest(os.path.join(out_dir, "run_manifest.json"), manifest, resume)
+    has_records = os.path.exists(records_path) or os.path.exists(journal_path)
+    _check_manifest(os.path.join(out_dir, "run_manifest.json"), manifest, resume, has_records)
 
     existing: Dict[str, EvalRecord] = {}
     if resume and os.path.exists(records_path):

@@ -210,9 +210,8 @@ def test_auth_token_read_from_environment(monkeypatch):
 def test_missing_auth_env_fails_before_any_call(monkeypatch):
     monkeypatch.delenv("UNIT_TEST_TOKEN", raising=False)
     session = FakeSession([])
-    backend = HttpBackend(spec(auth_env="UNIT_TEST_TOKEN"), session=session)
     with pytest.raises(PermanentBackendError, match="UNIT_TEST_TOKEN"):
-        backend.complete(request())
+        HttpBackend(spec(auth_env="UNIT_TEST_TOKEN"), session=session)
     assert session.calls == []
 
 

@@ -660,6 +660,12 @@ EVALUATE += ["--out", "{dir}/out"]
 GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
 
 
+def http_checker(setting):
+    """BACKENDS with an HTTP checker entry that carries one more setting."""
+    entry = f"{{kind: http, model: c, endpoint: 'http://unit.test/v1', {setting}}}"
+    return BACKENDS.replace("{kind: mock, model: c}", entry)
+
+
 @pytest.mark.parametrize(
     "files, argv, expected",
     [
@@ -729,6 +735,61 @@ GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
             "backends.checker: max_concurrency: must be >= 1, got 0",
         ),
         (
+            {
+                "run.yaml": BACKENDS.replace(
+                    "{kind: mock, model: c}",
+                    "{model: c, endpoint: 'http://unit.test/v1', auth_env: CHECK_KEY}",
+                )
+            },
+            EVALUATE,
+            "backends.checker: ['auth_env', 'endpoint'] apply only to kind http; set kind: http",
+        ),
+        (
+            {"run.yaml": http_checker("behavior: checker")},
+            EVALUATE,
+            "backends.checker: ['behavior'] apply only to kind mock; set kind: mock",
+        ),
+        (
+            {"run.yaml": BACKENDS.replace("{kind: mock, model: c}", "{kind: grpc, model: c}")},
+            EVALUATE,
+            "backends.checker: kind: must be http or mock, not 'grpc'",
+        ),
+        (
+            {"run.yaml": BACKENDS.replace("model: c}", "model: c, behavior: oracle}")},
+            EVALUATE,
+            "backends.checker: behavior: unknown mock behavior 'oracle', expected one of [",
+        ),
+        (
+            {"run.yaml": BACKENDS.replace("{kind: mock, model: c}", "{kind: http, model: c}")},
+            EVALUATE,
+            "backends.checker: endpoint is required for kind http",
+        ),
+        (
+            {"run.yaml": BACKENDS + "generation: {temperature: true}\n"},
+            EVALUATE,
+            "generation: temperature: not a number: True",
+        ),
+        (
+            {"run.yaml": http_checker("timeout_s: 0")},
+            EVALUATE,
+            "backends.checker: timeout_s: must be > 0, got 0.0",
+        ),
+        (
+            {"run.yaml": http_checker("base_backoff_s: -1")},
+            EVALUATE,
+            "backends.checker: base_backoff_s: must be >= 0, got -1.0",
+        ),
+        (
+            {"run.yaml": http_checker("requests_per_second: 0")},
+            EVALUATE,
+            "backends.checker: requests_per_second: must be > 0 or unset, got 0.0",
+        ),
+        (
+            {"run.yaml": http_checker("auth_env: DAHL_TEST_KEY_NEVER_SET")},
+            EVALUATE,
+            "backend checker: auth env var DAHL_TEST_KEY_NEVER_SET is not set",
+        ),
+        (
             {"run.yaml": BACKENDS},
             EVALUATE + ["--concurrency", "0"],
             "--concurrency must be >= 1, got 0",
@@ -796,6 +857,16 @@ GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
         "concurrency-negative",
         "questions-per-doc-zero",
         "max-concurrency-zero",
+        "endpoint-without-kind",
+        "behavior-on-http",
+        "unknown-kind",
+        "unknown-behavior",
+        "http-without-endpoint",
+        "temperature-bool",
+        "timeout-zero",
+        "backoff-negative",
+        "rate-zero",
+        "auth-env-unset",
         "concurrency-flag-zero",
         "questions-per-doc-flag-zero",
         "overrides-not-json",
@@ -821,6 +892,7 @@ def test_a_bad_run_input_fails_with_one_error_naming_where(
     assert stderr.startswith("error: ")
     assert expected.format(**fill) in stderr
     assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", ['{"checker_model": "mo', "[1, 2]"], ids=["torn", "list"])

@@ -106,18 +106,16 @@ def test_unknown_role_and_unknown_keys_rejected(tmp_path):
         load_config(write_config(tmp_path, "backends:\n  generator: {kind: mock}\n"))
 
 
-def test_unknown_kind_fails_at_build(tmp_path):
-    cfg = load_config(write_config(tmp_path, "backends:\n  generator: {kind: carrier-pigeon, model: m}\n"))
-    with pytest.raises(ConfigError, match="unknown kind"):
-        cfg.build_backend("generator")
+def test_unknown_kind_fails_at_load(tmp_path):
+    path = write_config(tmp_path, "backends:\n  generator: {kind: carrier-pigeon, model: m}\n")
+    with pytest.raises(ConfigError, match="backends.generator: kind: must be http or mock"):
+        load_config(path)
 
 
 def test_http_backend_requires_endpoint_and_builds_stack(tmp_path):
-    cfg = load_config(
-        write_config(tmp_path, "backends:\n  generator: {kind: http, model: m}\n")
-    )
-    with pytest.raises(ConfigError, match="requires an endpoint"):
-        cfg.build_backend("generator")
+    path = write_config(tmp_path, "backends:\n  generator: {kind: http, model: m}\n")
+    with pytest.raises(ConfigError, match="backends.generator: endpoint is required"):
+        load_config(path)
 
     path = write_config(
         tmp_path,
@@ -244,7 +242,10 @@ cache_dir: null
         close_backend(backend)
 
 
-def test_http_settings_reach_the_backend_spec_and_unset_ones_keep_its_defaults(tmp_path):
+def test_http_settings_reach_the_backend_spec_and_unset_ones_keep_its_defaults(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("GEN_KEY", "sekrit")
     path = write_config(
         tmp_path,
         """

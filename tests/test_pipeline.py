@@ -227,18 +227,32 @@ def test_resume_refuses_a_run_checked_by_the_previous_verdict_parser(tmp_path):
         _run(tmp_path, QUESTIONS, *_backends(), resume=True)
 
 
-def test_resume_of_a_run_without_manifest_writes_one_and_continues(tmp_path):
-    _run(tmp_path / "straight", QUESTIONS, *_backends())
+def test_resume_of_records_without_a_manifest_is_refused_and_of_an_empty_dir_runs(tmp_path):
+    unknown = "run_manifest.json, so the records' settings are unknown"
     out = tmp_path / "out"
-    _run(out, QUESTIONS, *_backends(), stop_after="generate")
+    _run(out, QUESTIONS, *_backends(checker_model="checker-a"), stop_after="split")
     (out / "run_manifest.json").unlink()
+    before = (out / "records.jsonl").read_bytes()
+    generator, splitter, checker = _backends(checker_model="checker-b")
+    with pytest.raises(PipelineError, match=unknown):
+        _run(out, QUESTIONS, generator, splitter, checker, resume=True)
+    assert (out / "records.jsonl").read_bytes() == before
+    assert not (out / "run_manifest.json").exists()
+    assert (generator.calls, splitter.calls, checker.calls) == (0, 0, 0)
 
-    _run(out, QUESTIONS, *_backends(), resume=True)
+    crashed = tmp_path / "crashed"  # a journal and no records.jsonl
+    with pytest.raises(RuntimeError):
+        _run(crashed, SIX, _dying_generator(3), *_backends()[1:], concurrency=1)
+    (crashed / "run_manifest.json").unlink()
+    with pytest.raises(PipelineError, match=unknown):
+        _run(crashed, SIX, *_backends(), resume=True)
 
-    assert (out / "run_manifest.json").read_bytes() == (
+    _run(tmp_path / "straight", QUESTIONS, *_backends())
+    _run(tmp_path / "empty", QUESTIONS, *_backends(), resume=True)
+    assert _same_outputs(tmp_path / "empty", tmp_path / "straight")
+    assert (tmp_path / "empty" / "run_manifest.json").read_bytes() == (
         tmp_path / "straight" / "run_manifest.json"
     ).read_bytes()
-    assert _same_outputs(out, tmp_path / "straight")
 
 
 def test_ablation_refuses_cells_that_share_a_run_directory(tmp_path):
