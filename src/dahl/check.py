@@ -7,7 +7,8 @@ from typing import Optional
 
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
-from .types import EvalRecord, GenConfig, Status, Verdict
+from .tasks import share
+from .types import AtomicUnit, EvalRecord, GenConfig, Status, Verdict
 
 # Checker replies are expected to be one word; a small budget keeps
 # retrieval-backed endpoints from rambling.
@@ -64,22 +65,28 @@ def check_response(
 ) -> EvalRecord:
     """Attach a verdict to every unit of a split record, in place.
 
-    Units whose checker call failed keep verdict=None; any such gap is
-    a count mismatch and the record is excluded_mismatch. Any Unknown
-    verdict excludes the record as excluded_unknown. Otherwise the
-    record is checked.
+    Each unit is one checker call, made through tasks.share: inside a
+    run_tasks task, idle workers of its pool help make them. The
+    verdicts are put together in unit order. Units whose checker call
+    failed keep verdict=None; any such gap is a count mismatch and the
+    record is excluded_mismatch. Any Unknown verdict excludes the
+    record as excluded_unknown. Otherwise the record is checked.
     """
     if record.status is not Status.SPLIT:
         raise ValueError(f"check requires status=split, got {record.status.value}")
-    failures = []
-    for unit in record.units:
+
+    def check(unit: AtomicUnit):
         try:
-            verdict, reply = check_unit(unit.text, backend, prompt_template)
+            return check_unit(unit.text, backend, prompt_template)
         except BackendError as exc:
-            failures.append(f"unit {unit.index}: {exc}")
-            continue
-        unit.verdict = verdict
-        unit.checker_reply = reply
+            return exc
+
+    failures = []
+    for unit, outcome in zip(record.units, share(check, record.units)):
+        if isinstance(outcome, BackendError):
+            failures.append(f"unit {unit.index}: {outcome}")
+        else:
+            unit.verdict, unit.checker_reply = outcome
 
     missing = [u.index for u in record.units if u.verdict is None]
     if missing:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -298,7 +299,7 @@ def build_dataset(
     """
     doc_ids = [doc.doc_id for doc in corpus]
     if len(set(doc_ids)) != len(doc_ids):
-        dupes = sorted({i for i in doc_ids if doc_ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(doc_ids).items() if n > 1)
         raise ValueError(f"duplicate doc ids: {dupes}")
 
     def build_one(doc: SourceDocument) -> Tuple[List[Question], List[Question], List[str]]:

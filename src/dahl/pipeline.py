@@ -1,10 +1,13 @@
 """Evaluation pipeline: one task per question, journaled resume, temperature ablation.
 
-Each finished record is appended to a journal (flushed, not fsynced);
-at the end the records file is written once, atomically. Resume reads
-both, so interrupting at any point and resuming reproduces the
-uninterrupted run byte for byte: record order follows the questions
-file, serialization is key-sorted, and nothing time-dependent is ever
+Questions run as tasks of one bounded pool (tasks.run_tasks); the check
+step shares a record's units with workers that have no question left
+to start. Each finished record is appended to a journal (flushed, not
+fsynced) in the order records finish; at the end the records file is
+written once, atomically. Resume reads both, so interrupting at any
+point and resuming reproduces the uninterrupted run byte for byte:
+record order follows the questions file, verdicts follow unit order,
+serialization is key-sorted, and nothing time-dependent is ever
 persisted.
 """
 
@@ -16,6 +19,7 @@ import io
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,7 +97,8 @@ def run_evaluation(
 
     Each question is one pool task that applies every step whose input
     status its record has, up to stop_after (how tests simulate an
-    interrupt). With resume, records already past a step are left
+    interrupt). At most `concurrency` model calls are in flight, over
+    all three roles. With resume, records already past a step are left
     alone, records of questions no longer asked are written back
     unchanged, and changed settings raise PipelineError; without it,
     existing records are ignored and overwritten.
@@ -105,7 +110,7 @@ def run_evaluation(
     ids = [q.question_id for q in questions]
     known = set(ids)
     if len(known) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise PipelineError(f"duplicate question ids: {dupes}")
     prompts = prompts or {}
     response_template = prompts.get("response_generation")
@@ -142,8 +147,9 @@ def run_evaluation(
     # Never silently drop data on resume; carry strays along unchanged.
     orphans = [r for qid, r in existing.items() if qid not in known]
 
-    # Steps on (record, question text) in STAGES order, cut at stop_after. Their functions
-    # are looked up at call time, so rebinding them on this module (as a tracer does) works.
+    # Steps on (record, question text) in STAGES order, cut at stop_after. Each step calls
+    # its function once per record through this module's global name, looked up at call
+    # time, so rebinding it here (as a tracer does) sees every call.
     steps = (
         (Status.PENDING, lambda r, q: preprocess(r, render_question_prompt(q, response_template))),
         (Status.PREPROCESSED, lambda r, _: split_into_units(r, splitter, split_template)),

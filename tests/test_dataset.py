@@ -589,6 +589,18 @@ def test_build_dataset_refuses_duplicate_doc_ids():
     assert generator.calls == 0
 
 
+def test_duplicate_doc_ids_are_named_in_order_and_found_in_linear_time():
+    # Counting each id with list.count took 1.0 s for 8,573 ids.
+    corpus = [SourceDocument(doc_id=f"d{i}", title="t", body="text") for i in range(20000)]
+    corpus += [corpus[7], corpus[3], corpus[7]]
+    generator = _question_backend()
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^duplicate doc ids: \['d3', 'd7'\]$"):
+        build_dataset(corpus, generator, _categorizer_backend(), RULES, OverrideList(), CATEGORIES)
+    assert time.perf_counter() - started < 1.0
+    assert generator.calls == 0
+
+
 def test_build_dataset_overlaps_categorizer_calls_of_different_documents():
     # Each call waits until four are in flight, so calls made one at a
     # time break the barrier instead of passing it.

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
+import threading
+import time
 
 import pytest
 import requests
 
-from dahl.backends import BackendSpec, HttpBackend, MockBackend, RetryPolicy
+from dahl.backends import BackendSpec, HttpBackend, MockBackend, PermanentBackendError, RetryPolicy
 from dahl.pipeline import PipelineError, run_evaluation, run_temperature_ablation
 from dahl.score import NoScorableResponsesError
 from dahl.types import GenConfig, Status
@@ -255,6 +258,18 @@ def test_resume_of_records_without_a_manifest_is_refused_and_of_an_empty_dir_run
     ).read_bytes()
 
 
+def test_duplicate_question_ids_are_named_in_order_and_found_in_linear_time(tmp_path):
+    # Counting each id with list.count took 1.0 s for 8,573 ids.
+    questions = [make_question(qid=f"q-{i}") for i in range(20000)]
+    questions += [questions[7], questions[3], questions[7]]
+    generator, splitter, checker = _backends()
+    started = time.perf_counter()
+    with pytest.raises(PipelineError, match=r"^duplicate question ids: \['q-3', 'q-7'\]$"):
+        _run(tmp_path, questions, generator, splitter, checker)
+    assert time.perf_counter() - started < 1.0
+    assert generator.calls == 0
+
+
 def test_ablation_refuses_cells_that_share_a_run_directory(tmp_path):
     _, splitter, checker = _backends()
     generators = [MockBackend(default=ANSWER, model=m) for m in ("org/m", "org_m")]
@@ -265,3 +280,117 @@ def test_ablation_refuses_cells_that_share_a_run_directory(tmp_path):
         )
     assert not (tmp_path / "runs").exists()
     assert generators[0].calls == 0
+
+
+class _InFlight:
+    """Counts model calls in flight over every role whose replies go through it."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.now = self.peak = 0
+
+    def backend(self, text):
+        def reply(request):
+            with self.lock:
+                self.now += 1
+                self.peak = max(self.peak, self.now)
+            time.sleep(0.001)
+            with self.lock:
+                self.now -= 1
+            return text
+
+        return MockBackend(default=reply)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4, 8])
+def test_model_calls_in_flight_over_all_roles_never_exceed_concurrency(tmp_path, concurrency):
+    meter = _InFlight()
+    questions = [make_question(qid=f"q-{i}", text=f"What treats case {i}?") for i in range(12)]
+    units = "\n".join(f"{k}. Claim {k} holds." for k in range(1, 7))
+    backends = (meter.backend(ANSWER), meter.backend(units), meter.backend("True"))
+
+    result = _run(tmp_path, questions, *backends, concurrency=concurrency)
+
+    assert result.report is not None and result.report.n_scored == 12
+    assert 1 <= meter.peak <= concurrency
+    assert meter.now == 0
+
+
+def test_idle_workers_check_the_units_of_a_record_at_the_same_time(tmp_path):
+    # Each checker call waits until all four units are in flight at once.
+    all_four = threading.Barrier(4, timeout=5)
+
+    def reply(request):
+        all_four.wait()
+        return "True"
+
+    generator, splitter, _ = _backends()
+    splitter = MockBackend(default="\n".join(f"{k}. Claim {k} holds." for k in range(1, 5)))
+    checker = MockBackend(default=reply)
+
+    result = _run(tmp_path, QUESTIONS[:1], generator, splitter, checker, concurrency=4)
+
+    assert checker.calls == 4
+    assert [len(r.units) for r in result.records] == [4]
+    assert result.records[0].status is Status.SCORED
+
+
+# Claims of case i: k-th is held true, false, unknown, or its check fails.
+_PLANS = ["TTTTT", "TXTXT", "TTUTT", "TFTFT", "XTXTX", "TXTTU", "FFFFF", "UUTTX"]
+_KINDS = {"T": "ztrue", "F": "zfalse", "U": "zunknown", "X": "zfail"}
+
+
+def _planned_backends():
+    def answer(request):
+        case = re.search(r"case (\d+)", request.user_prompt).group(1)
+        return f"Case {case} is treated with rest. It resolves in days."
+
+    def units(request):
+        case = int(re.search(r"Case (\d+)", request.user_prompt).group(1))
+        plan = _PLANS[case]
+        return "\n".join(f"{k + 1}. Case {case} claim {k} is {_KINDS[c]}." for k, c in enumerate(plan))
+
+    def verdict(request):
+        case, claim, kind = re.search(r"Case (\d+) claim (\d+) is (z\w+)", request.user_prompt).groups()
+        time.sleep(0.001 * (5 - int(claim)))  # later units finish first
+        if kind == "zfail":
+            raise PermanentBackendError(f"checker down for case {case} claim {claim}")
+        return {"ztrue": "True", "zfalse": "False", "zunknown": "Unknown"}[kind]
+
+    return MockBackend(default=answer), MockBackend(default=units), MockBackend(default=verdict)
+
+
+def test_records_and_reports_are_the_same_bytes_at_any_concurrency_and_on_resume(tmp_path):
+    questions = [
+        make_question(qid=f"q-{i}", text=f"What treats case {i}?") for i in range(len(_PLANS))
+    ]
+    _run(tmp_path / "serial", questions, *_planned_backends(), concurrency=1)
+    _run(tmp_path / "wide", questions, *_planned_backends(), concurrency=8)
+    resumed = tmp_path / "resumed"
+    _run(resumed, questions, *_planned_backends(), stop_after="split", concurrency=8)
+    _run(resumed, questions, *_planned_backends(), resume=True, concurrency=8)
+
+    assert _same_outputs(tmp_path / "wide", tmp_path / "serial")
+    assert _same_outputs(resumed, tmp_path / "serial")
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "wide" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert [r["status"] for r in records] == [
+        "scored",
+        "excluded_mismatch",
+        "excluded_unknown",
+        "scored",
+        "excluded_mismatch",
+        "excluded_mismatch",
+        "scored",
+        "excluded_mismatch",
+    ]
+    assert records[4]["error"] == (
+        "verdict count mismatch: 2 verdicts for 5 units (unit 0: checker down for case 4 "
+        "claim 0; unit 2: checker down for case 4 claim 2; unit 4: checker down for case 4 "
+        "claim 4)"
+    )
+    assert [u["checker_reply"] for u in records[7]["units"]] == [
+        "Unknown", "Unknown", "True", "True", None
+    ]

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from dahl.tasks import run_tasks
+from dahl.backends import MockBackend
+from dahl.pipeline import run_evaluation
+from dahl.tasks import run_tasks, share
+from dahl.types import GenConfig
+
+from factories import make_question
 
 
 class Boom(Exception):
@@ -114,3 +121,94 @@ def test_no_task_starts_after_a_failure_even_with_the_caller_descheduled():
             assert started == [0]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_share_outside_a_task_and_on_one_worker_is_a_plain_loop_in_the_task_thread():
+    assert share(lambda s: s * 2, range(4)) == [0, 2, 4, 6]
+
+    def task(i):
+        owner = threading.get_ident()
+        return share(lambda s: (s, threading.get_ident() == owner), range(5))
+
+    results = run_tasks(range(3), task, lambda _: None, 1)
+    assert results == [[(s, True) for s in range(5)]] * 3
+
+
+def test_a_failed_subitem_is_raised_and_no_subitem_or_item_starts_after_it():
+    before = threading.active_count()
+    together = threading.Barrier(3, timeout=5)
+    started = []
+
+    def check(s):
+        started.append(s)
+        if s < 3:
+            together.wait()  # subitems 0-2 run at once on the task's worker and two idle ones
+        if s == 1:
+            raise Boom("subitem 1")
+        time.sleep(0.05)
+        return s
+
+    with pytest.raises(Boom, match="subitem 1"):
+        run_tasks(range(1), lambda i: share(check, range(9)), lambda _: None, 3)
+    assert sorted(started) == [0, 1, 2]
+    assert threading.active_count() == before
+
+
+def test_every_subitem_runs_once_under_a_short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    runs = Counter()
+    lock = threading.Lock()
+
+    def count(pair):
+        with lock:
+            runs[pair] += 1
+        return pair[1]
+
+    try:
+        results = run_tasks(
+            range(60), lambda i: share(count, [(i, s) for s in range(i % 7)]), lambda _: None, 8
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [list(range(i % 7)) for i in range(60)]
+    assert runs == Counter({(i, s): 1 for i in range(60) for s in range(i % 7)})
+
+
+def test_an_error_in_a_unit_check_stops_the_run_and_keeps_what_was_journaled(tmp_path):
+    # Two workers: q-0 finishes first, q-1 fails in its third unit while
+    # q-2 is still generating; no unit and no question starts after that.
+    before = threading.active_count()
+    questions = [make_question(qid=f"q-{i}", text=f"What treats case {i}?") for i in range(5)]
+    generated = []
+    checked = []
+
+    def answer(request):
+        case = int(request.user_prompt.split("case ")[1][0])
+        generated.append(case)
+        time.sleep({0: 0.0, 1: 0.1, 2: 0.3}.get(case, 0.0))
+        return f"Case {case} is treated with rest."
+
+    def verdict(request):
+        claim = request.user_prompt.split("Claim: ")[1].strip()
+        checked.append(claim)
+        if claim == "Case 1 claim 2.":
+            raise RuntimeError("checker process died")
+        return "True"
+
+    def units(request):
+        case = request.user_prompt.split("Case ")[1][0]
+        return "\n".join(f"{k + 1}. Case {case} claim {k}." for k in range(4))
+
+    generator, splitter, checker = (MockBackend(default=f) for f in (answer, units, verdict))
+    with pytest.raises(RuntimeError, match="checker process died"):
+        run_evaluation(
+            questions, str(tmp_path), generator, splitter, checker, GenConfig(), concurrency=2
+        )
+
+    assert sorted(generated) == [0, 1, 2]
+    assert [c for c in checked if c.startswith("Case 1")] == [f"Case 1 claim {k}." for k in range(3)]
+    assert not [c for c in checked if c.startswith("Case 2")]
+    journal = (tmp_path / "records.journal.jsonl").read_text(encoding="utf-8")
+    assert [json.loads(line)["question_id"] for line in journal.split("\n") if line] == ["q-0"]
+    assert threading.active_count() == before
