@@ -196,7 +196,7 @@ def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfi
             "category_file": file_at("category file"),
             "rules_file": file_at("rules file"),
             "overrides_file": file_at("overrides file"),
-            "cache_dir": str,
+            "cache_dir": lambda value: os.path.join(base_dir, str(value)),
             "seed": _int,
             "concurrency": _count,
             "questions_per_doc": _count,
@@ -205,7 +205,7 @@ def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfi
     backends, generators = root.pop("backends", ({}, []))
     prompt_files = root.pop("prompts", {})
     cache_dir = root.pop("cache_dir", None)
-    if cache_dir_override is not None:
+    if cache_dir_override is not None:  # from the command line, so relative to the CWD
         cache_dir = cache_dir_override
     return RunConfig(
         backends=backends,
@@ -215,6 +215,6 @@ def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfi
         rules=load_filter_rules(root.pop("rules_file", None)),
         overrides=load_overrides(root.pop("overrides_file", None)),
         prompts={name: defaults.load_prompt(name, prompt_files.get(name)) for name in prompt_keys},
-        cache_dir=None if cache_dir is None else os.path.join(base_dir, cache_dir),
+        cache_dir=cache_dir,
         **root,  # seed, concurrency, questions_per_doc
     )

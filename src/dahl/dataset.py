@@ -340,9 +340,7 @@ def build_dataset(
 
     kept, dropped = [], []
     report = BuildReport(n_documents=len(corpus))
-    for doc_kept, doc_dropped, doc_failures in run_tasks(
-        corpus, build_one, lambda _: None, concurrency
-    ):
+    for doc_kept, doc_dropped, doc_failures in run_tasks(corpus, build_one, concurrency):
         kept += doc_kept
         dropped += doc_dropped
         report.failures += doc_failures

@@ -1,11 +1,12 @@
 """Evaluation pipeline: one task per question, journaled resume, temperature ablation.
 
-Questions run as tasks of one bounded pool (tasks.run_tasks); the check
-step shares a record's units with workers that have no question left
-to start. Each finished record is appended to a journal (flushed, not
-fsynced) in the order records finish; at the end the records file is
-written once, atomically. Resume reads both, so interrupting at any
-point and resuming reproduces the uninterrupted run byte for byte:
+Questions run as tasks of one bounded pool (tasks.run_tasks), whose
+workers include the calling thread; the check step shares a record's
+units with workers that have no question left to start. The task that
+finishes a record appends it to a journal (flushed, not fsynced), so
+records are journaled in the order they finish; at the end the records
+file is written once, atomically. Resume reads both, so interrupting at
+any point and resuming reproduces the uninterrupted run byte for byte:
 record order follows the questions file, verdicts follow unit order,
 serialization is key-sorted, and nothing time-dependent is ever
 persisted.
@@ -19,6 +20,7 @@ import io
 import json
 import os
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,8 +50,11 @@ class EvaluationResult:
     records_path: str
 
 
+_REPORT_FILES = (("json", "report.json"), ("csv", "report.csv"), ("markdown", "report.md"))
+
+
 def write_report_files(report: ScoreReport, out_dir: str) -> None:
-    for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("markdown", "report.md")):
+    for fmt, name in _REPORT_FILES:
         atomic_write_text(
             os.path.join(out_dir, name), render_report(report, fmt).decode("utf-8")
         )
@@ -144,6 +149,9 @@ def run_evaluation(
         existing.update((r.question_id, r) for r in read_eval_records(journal_path)[0])
     if not resume and os.path.exists(records_path):
         os.remove(records_path)  # so a crash leaves nothing from another run to resume
+    for _, name in _REPORT_FILES:  # a run that ends without a report leaves none from before
+        if os.path.exists(os.path.join(out_dir, name)):
+            os.remove(os.path.join(out_dir, name))
     # Never silently drop data on resume; carry strays along unchanged.
     orphans = [r for qid, r in existing.items() if qid not in known]
 
@@ -156,6 +164,8 @@ def run_evaluation(
         (Status.SPLIT, lambda r, _: check_response(r, checker, check_template)),
     )[: STAGES.index(stop_after or "score")]
 
+    journal_lock = threading.Lock()
+
     def advance(question: Question) -> EvalRecord:
         record = existing.get(question.question_id)
         if record is None:
@@ -163,16 +173,15 @@ def run_evaluation(
         for status, step in steps:
             if record.status is status:
                 step(record, question.text)
+        line = dumps_compact(record.to_dict()) + "\n"
+        with journal_lock:
+            journal.write(line)
+            journal.flush()
         return record
 
     with open(journal_path, "a" if resume else "w", encoding="utf-8") as journal:
         journal.write("\n")  # ends a torn last line; blank lines are skipped
-
-        def journaled(record: EvalRecord) -> None:
-            journal.write(dumps_compact(record.to_dict()) + "\n")
-            journal.flush()
-
-        current = run_tasks(questions, advance, journaled, concurrency)
+        current = run_tasks(questions, advance, concurrency)
     records = current + orphans
     try:
         # Orphans stay out of the report.

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Sequence
 
-_LEFT = object()  # a worker's last message
 _worker = threading.local()  # .pool: the pool of a worker thread
 
 
@@ -58,7 +55,7 @@ class _Pool:
                 batch.errors[j] = exc
                 self.fail()
 
-    def work(self, done: queue.SimpleQueue) -> None:
+    def work(self) -> None:
         _worker.pool = self
         try:
             while True:
@@ -76,7 +73,7 @@ class _Pool:
                     if not batch.running:
                         batch.finished.notify_all()  # for the tasks: no new batch can open
         finally:
-            done.put(_LEFT)
+            _worker.pool = None  # so share() after a run is a plain loop in the caller
 
     def share(self, fn: Callable, subitems: Sequence) -> list:
         batch = _Batch(fn, subitems, threading.Condition(self.lock))
@@ -111,41 +108,28 @@ def share(fn: Callable, subitems: Sequence) -> list:
     return pool.share(fn, subitems) if pool else [fn(s) for s in subitems]
 
 
-def run_tasks(items: Sequence, task: Callable, on_done: Callable, concurrency: int) -> list:
-    """Run task(item) for every item on max(1, concurrency) workers.
+def run_tasks(items: Sequence, task: Callable, concurrency: int) -> list:
+    """Run task(item) for every item on max(1, concurrency) workers, the caller one of them.
 
-    Tasks and the subitems they share() run only on the workers, so at
-    most `concurrency` of them are in flight. on_done gets each result in
-    the calling thread as its task finishes. After the first exception
-    of a task, a subitem or on_done, no item or subitem starts; running
-    tasks finish and reach on_done, except those in share() or entering
-    it, which are dropped. Returns the results in item order, or raises
-    the first task exception in item order.
+    Tasks and the subitems they share() run only on the workers (at concurrency 1, the
+    caller alone), so at most `concurrency` are in flight. After the first exception of a
+    task or a subitem, a KeyboardInterrupt in a task the caller runs included, no item or
+    subitem starts; running tasks finish, except those in share() or entering it, which
+    are dropped. Returns the results in item order, or raises the first task exception in
+    item order.
     """
-    done: queue.SimpleQueue = queue.SimpleQueue()
-
-    def start(item):
-        result = task(item)
-        done.put(result)
-        return result
-
-    pool = _Pool(start, items)
-    workers = max(1, concurrency)
-    executor = ThreadPoolExecutor(max_workers=workers)
+    pool = _Pool(task, items)
+    helpers = [threading.Thread(target=pool.work) for _ in range(max(1, concurrency) - 1)]
     try:
-        loops = [executor.submit(pool.work, done) for _ in range(workers)]
-        while workers:
-            result = done.get()
-            if result is _LEFT:
-                workers -= 1
-            else:
-                on_done(result)
+        for helper in helpers:
+            helper.start()
+        pool.work()
     finally:
         with pool.lock:
-            pool.fail()  # every worker has left, or on_done raised: start no more
-        executor.shutdown(wait=True)
-    for loop in loops:
-        loop.result()
+            pool.fail()  # the caller left its loop, perhaps by an exception: start no more
+        for helper in helpers:
+            if helper.is_alive():  # one that could not start is not joinable
+                helper.join()
     if pool.tasks.errors:
         raise pool.tasks.errors[min(pool.tasks.errors)]
     return pool.tasks.outcomes

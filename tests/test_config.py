@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 import textwrap
 from pathlib import Path
@@ -200,6 +201,19 @@ def test_cache_dir_override_beats_file_value(tmp_path):
     assert cfg.cache_dir == str(tmp_path / "forced")
     cfg = load_config(path)
     assert cfg.cache_dir == str(tmp_path / "from-file")
+
+
+def test_a_relative_cache_dir_flag_is_cwd_relative_and_the_key_config_relative(
+    tmp_path, monkeypatch
+):
+    (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "cwd").mkdir()
+    write_config(tmp_path / "cfgdir", BASE + "cache_dir: from-file\n")
+    monkeypatch.chdir(tmp_path / "cwd")
+    path = os.path.join("..", "cfgdir", "run.yaml")
+    cfg = load_config(path, cache_dir_override="mycache")
+    assert os.path.abspath(cfg.cache_dir) == str(tmp_path / "cwd" / "mycache")
+    assert load_config(path).cache_dir == str(tmp_path / "cfgdir" / "from-file")
 
 
 def test_config_root_must_be_a_mapping(tmp_path):

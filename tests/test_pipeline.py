@@ -196,6 +196,20 @@ def test_run_with_nothing_scorable_still_writes_records_and_drops_journal(tmp_pa
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("ending", ["stopped after split", "nothing scorable"])
+def test_a_fresh_run_without_a_report_leaves_none_from_an_earlier_run(tmp_path, ending):
+    _run(tmp_path, QUESTIONS, *_backends(), GenConfig(temperature=0.2))
+    assert (tmp_path / "report.json").exists()
+    generator, splitter, checker = _backends()
+    hot = GenConfig(temperature=0.9)
+    if ending == "nothing scorable":
+        with pytest.raises(NoScorableResponsesError):
+            _run(tmp_path, QUESTIONS, generator, splitter, MockBackend(default="Unknown"), hot)
+    else:
+        _run(tmp_path, QUESTIONS, generator, splitter, checker, hot, stop_after="split")
+    assert not [name for name in OUTPUTS[1:] if (tmp_path / name).exists()]
+
+
 def test_resume_refuses_a_changed_checker_model(tmp_path):
     _run(tmp_path, QUESTIONS, *_backends(checker_model="checker-a"), stop_after="split")
     before = (tmp_path / "records.jsonl").read_bytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import _thread
 import json
 import random
 import sys
@@ -11,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from dahl import pipeline
 from dahl.backends import MockBackend
 from dahl.pipeline import run_evaluation
 from dahl.tasks import run_tasks, share
@@ -27,15 +29,18 @@ class Boom(Exception):
 def test_results_come_back_in_item_order(concurrency):
     rng = random.Random(concurrency)
     delays = [rng.uniform(0, 0.005) for _ in range(20)]
-    done = []
 
     def task(i):
         time.sleep(delays[i])
         return i * i
 
-    results = run_tasks(range(20), task, done.append, concurrency)
-    assert results == [i * i for i in range(20)]
-    assert sorted(done) == results
+    assert run_tasks(range(20), task, concurrency) == [i * i for i in range(20)]
+
+
+def test_at_concurrency_1_the_caller_runs_every_task_and_starts_no_thread():
+    before = threading.active_count()
+    seen = run_tasks(range(3), lambda i: (threading.active_count(), threading.get_ident()), 1)
+    assert seen == [(before, threading.get_ident())] * 3
 
 
 def test_the_first_exception_in_item_order_is_raised():
@@ -49,10 +54,10 @@ def test_the_first_exception_in_item_order_is_raised():
         return i
 
     with pytest.raises(Boom, match="item 3"):
-        run_tasks(range(10), task, lambda _: None, 4)
+        run_tasks(range(10), task, 4)
 
 
-def test_running_tasks_reach_on_done_and_no_task_starts_after_a_failure():
+def test_running_tasks_finish_and_no_task_starts_after_a_failure():
     running = threading.Barrier(4, timeout=5)
     started = []
     done = []
@@ -64,21 +69,39 @@ def test_running_tasks_reach_on_done_and_no_task_starts_after_a_failure():
         if i == 0:
             raise Boom("item 0")
         time.sleep(0.02)
+        done.append(i)
         return i
 
     with pytest.raises(Boom, match="item 0"):
-        run_tasks(range(12), task, done.append, 4)
+        run_tasks(range(12), task, 4)
     assert sorted(started) == [0, 1, 2, 3]
     assert sorted(done) == [1, 2, 3]
 
 
-def test_an_exception_from_on_done_is_raised():
-    def on_done(result):
-        if result == 2:
-            raise Boom("on_done")
+def test_a_keyboard_interrupt_in_the_callers_task_is_raised_after_the_helpers_finish():
+    before = threading.active_count()
+    caller_busy = threading.Event()
+    finished = []
 
-    with pytest.raises(Boom, match="on_done"):
-        run_tasks(range(10), lambda i: i, on_done, 2)
+    def task(i):
+        if threading.current_thread() is threading.main_thread():
+            caller_busy.set()
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:  # interrupt_main() lands between bytecodes
+                time.sleep(0.001)
+        else:
+            assert caller_busy.wait(5)
+            _thread.interrupt_main()
+            time.sleep(0.05)  # still running when the caller's task fails
+            finished.append(i)
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_tasks(range(2), task, 2)
+    assert time.monotonic() - start < 4
+    assert len(finished) == 1
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("concurrency", [1, 3, 8])
@@ -97,7 +120,7 @@ def test_in_flight_tasks_never_exceed_concurrency(concurrency):
             in_flight -= 1
         return i
 
-    assert run_tasks(range(40), task, lambda _: None, concurrency) == list(range(40))
+    assert run_tasks(range(40), task, concurrency) == list(range(40))
     assert 1 <= peak <= concurrency
 
 
@@ -117,7 +140,7 @@ def test_no_task_starts_after_a_failure_even_with_the_caller_descheduled():
                 return i
 
             with pytest.raises(Boom):
-                run_tasks(range(30), task, lambda _: None, 1)
+                run_tasks(range(30), task, 1)
             assert started == [0]
     finally:
         sys.setswitchinterval(interval)
@@ -130,8 +153,9 @@ def test_share_outside_a_task_and_on_one_worker_is_a_plain_loop_in_the_task_thre
         owner = threading.get_ident()
         return share(lambda s: (s, threading.get_ident() == owner), range(5))
 
-    results = run_tasks(range(3), task, lambda _: None, 1)
-    assert results == [[(s, True) for s in range(5)]] * 3
+    assert run_tasks(range(3), task, 1) == [[(s, True) for s in range(5)]] * 3
+    # The caller was one of the run's workers; after the run it is not.
+    assert share(lambda s: s * 2, range(4)) == [0, 2, 4, 6]
 
 
 def test_a_failed_subitem_is_raised_and_no_subitem_or_item_starts_after_it():
@@ -149,7 +173,7 @@ def test_a_failed_subitem_is_raised_and_no_subitem_or_item_starts_after_it():
         return s
 
     with pytest.raises(Boom, match="subitem 1"):
-        run_tasks(range(1), lambda i: share(check, range(9)), lambda _: None, 3)
+        run_tasks(range(1), lambda i: share(check, range(9)), 3)
     assert sorted(started) == [0, 1, 2]
     assert threading.active_count() == before
 
@@ -166,9 +190,7 @@ def test_every_subitem_runs_once_under_a_short_switch_interval():
         return pair[1]
 
     try:
-        results = run_tasks(
-            range(60), lambda i: share(count, [(i, s) for s in range(i % 7)]), lambda _: None, 8
-        )
+        results = run_tasks(range(60), lambda i: share(count, [(i, s) for s in range(i % 7)]), 8)
     finally:
         sys.setswitchinterval(interval)
     assert results == [list(range(i % 7)) for i in range(60)]
@@ -212,3 +234,33 @@ def test_an_error_in_a_unit_check_stops_the_run_and_keeps_what_was_journaled(tmp
     journal = (tmp_path / "records.journal.jsonl").read_text(encoding="utf-8")
     assert [json.loads(line)["question_id"] for line in journal.split("\n") if line] == ["q-0"]
     assert threading.active_count() == before
+
+
+def test_every_journal_line_parses_at_concurrency_8_under_a_short_switch_interval(
+    tmp_path, monkeypatch
+):
+    # Tasks append their own records to the journal from eight threads.
+    journals = []
+    write_records = pipeline.write_records
+
+    def read_journal_first(records, path):
+        journals.append((tmp_path / "records.journal.jsonl").read_text(encoding="utf-8"))
+        write_records(records, path)
+
+    monkeypatch.setattr(pipeline, "write_records", read_journal_first)
+    questions = [make_question(qid=f"q-{i}", text=f"What treats case {i}?") for i in range(60)]
+    generator = MockBackend(default="Rest and fluids help. " * 40)
+    splitter = MockBackend(default="\n".join(f"{k + 1}. Claim {k} holds." for k in range(6)))
+    checker = MockBackend(default="True")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_evaluation(
+            questions, str(tmp_path), generator, splitter, checker, GenConfig(), concurrency=8
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    lines = [line for line in journals[0].split("\n") if line]
+    assert sorted(json.loads(line)["question_id"] for line in lines) == sorted(
+        q.question_id for q in questions
+    )
