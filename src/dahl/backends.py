@@ -290,8 +290,6 @@ class ThrottledBackend:
         inner: Backend,
         max_concurrency: int,
         requests_per_second: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
@@ -300,11 +298,7 @@ class ThrottledBackend:
         self.model = inner.model
         self.endpoint = endpoint_of(inner)
         self._semaphore = threading.BoundedSemaphore(max_concurrency)
-        self._bucket = (
-            TokenBucket(requests_per_second, clock=clock, sleeper=sleeper)
-            if requests_per_second is not None
-            else None
-        )
+        self._bucket = TokenBucket(requests_per_second) if requests_per_second is not None else None
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         with self._semaphore:
@@ -411,13 +405,11 @@ class MockBackend:
         default: Optional[Union[str, Callable[[ChatRequest], str]]] = None,
         backend_id: str = "mock",
         model: str = "mock-model",
-        finish_reason: str = "stop",
     ) -> None:
         self._rules = list(rules) if rules else []
         self._default = default
         self.backend_id = backend_id
         self.model = model
-        self._finish_reason = finish_reason
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -438,9 +430,7 @@ class MockBackend:
                 )
             reply = self._default
         text = reply(req) if callable(reply) else reply
-        return ChatResponse(
-            text=text, finish_reason=self._finish_reason, latency_ms=0, attempts=1
-        )
+        return ChatResponse(text)
 
 
 def close_backend(backend: Backend) -> None:

@@ -91,6 +91,15 @@ _ENTRY_KEYS = {"kind": str, "model": str, **_MOCK_KEYS, **_HTTP_KEYS, **_RETRY_K
 _KIND_KEYS = {"mock": _MOCK_KEYS, "http": {**_HTTP_KEYS, **_RETRY_KEYS}}
 # A backend entry: a mock, built at load time, or the spec of an HTTP stack.
 Entry = Union[MockBackend, BackendSpec]
+# The placeholder that carries what one call of each template is about. Without it every
+# call sends the same prompt; {title}, {n} and {labels} may be hard-coded instead.
+_PROMPT_SUBJECTS = {
+    "question_generation": "{body}",
+    "response_generation": "{question}",
+    "splitter": "{response}",
+    "checker": "{unit}",
+    "categorizer": "{question}",
+}
 
 
 @dataclass
@@ -175,6 +184,18 @@ def _read_backends(raw: object) -> Tuple[Dict[str, Entry], List[Entry]]:
     return backends, generators
 
 
+def _read_prompts(files: Dict[str, str]) -> Dict[str, str]:
+    """Every template, from its file or the packaged copy, each carrying its subject."""
+    prompts = {}
+    for name in defaults.PROMPT_NAMES:
+        subject = _PROMPT_SUBJECTS[name]
+        prompts[name] = defaults.load_prompt(name, files.get(name))
+        if subject not in prompts[name]:
+            where = files.get(name, "the packaged template")
+            raise ConfigError(f"prompts.{name}: {where} lacks the placeholder {subject}")
+    return prompts
+
+
 def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfig:
     """Load and validate a YAML run configuration."""
     with open(_require_file(path, "config file"), encoding="utf-8") as fh:
@@ -203,7 +224,6 @@ def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfi
         },
     )
     backends, generators = root.pop("backends", ({}, []))
-    prompt_files = root.pop("prompts", {})
     cache_dir = root.pop("cache_dir", None)
     if cache_dir_override is not None:  # from the command line, so relative to the CWD
         cache_dir = cache_dir_override
@@ -214,7 +234,7 @@ def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfi
         category_set=defaults.load_category_set(root.pop("category_file", None)),
         rules=load_filter_rules(root.pop("rules_file", None)),
         overrides=load_overrides(root.pop("overrides_file", None)),
-        prompts={name: defaults.load_prompt(name, prompt_files.get(name)) for name in prompt_keys},
+        prompts=_read_prompts(root.pop("prompts", {})),
         cache_dir=cache_dir,
         **root,  # seed, concurrency, questions_per_doc
     )

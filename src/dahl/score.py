@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Iterable, Optional, Sequence
+from collections import Counter
+from typing import Sequence
 
 from .types import CategoryScore, EvalRecord, ScoreReport, Status, Verdict
 
@@ -27,8 +28,16 @@ def _record_precision(record: EvalRecord) -> float:
     return response_precision([u.verdict for u in record.units])
 
 
-def precision_by_question(records: Iterable[EvalRecord]) -> dict:
+def _refuse_repeats(records: Sequence[EvalRecord]) -> None:
+    counts = Counter(r.question_id for r in records)
+    repeated = sorted(qid for qid, n in counts.items() if n > 1)
+    if repeated:
+        raise ValueError(f"records repeat question ids: {repeated}")
+
+
+def precision_by_question(records: Sequence[EvalRecord]) -> dict:
     """question_id -> response precision for every scorable record."""
+    _refuse_repeats(records)
     return {
         r.question_id: _record_precision(r)
         for r in records
@@ -36,70 +45,50 @@ def precision_by_question(records: Iterable[EvalRecord]) -> dict:
     }
 
 
-def per_category_scores(records: Iterable[EvalRecord]) -> dict:
-    """Mean precision and count per category over scorable records.
+def dahl_score(records: Sequence[EvalRecord]) -> ScoreReport:
+    """Aggregate one model run into a ScoreReport, in one pass.
 
-    Pure: accepts checked or scored records without mutating them.
-    Categories with no scorable records are simply absent.
-    """
-    sums: dict = {}
-    counts: dict = {}
-    for record in records:
-        if record.status not in (Status.CHECKED, Status.SCORED):
-            continue
-        if not record.category:
-            raise ValueError(f"record {record.question_id} has no category")
-        precision = _record_precision(record)
-        sums[record.category] = sums.get(record.category, 0.0) + precision
-        counts[record.category] = counts.get(record.category, 0) + 1
-    return {
-        label: CategoryScore(score=sums[label] / counts[label], n=counts[label])
-        for label in sorted(sums)
-    }
-
-
-def dahl_score(records: Sequence[EvalRecord], model_id: Optional[str] = None) -> ScoreReport:
-    """Aggregate one model run into a ScoreReport.
-
-    Checked records are promoted to scored in place (rescoring already
+    Checked records are promoted to scored in place once the report is
+    built, so a call that raises promotes nothing (rescoring already
     scored records is a no-op, which is what makes the score stage
-    idempotent under resume). Every record must belong to one model.
+    idempotent under resume). Every record must belong to one model and
+    answer a distinct question, and every scorable record needs a
+    category. Categories with no scorable records are absent.
     """
     records = list(records)
+    _refuse_repeats(records)
     scorable = [r for r in records if r.status in (Status.CHECKED, Status.SCORED)]
     if not scorable:
         raise NoScorableResponsesError("no scorable responses")
-
     models = {r.model_id for r in records}
-    if model_id is None:
-        if len(models) > 1:
-            raise ValueError(f"records span several models: {sorted(models)}")
-        model_id = next(iter(models))
-
-    categories = per_category_scores(scorable)
+    if len(models) > 1:
+        raise ValueError(f"records span several models: {sorted(models)}")
 
     precisions = []
-    true_units = 0
-    total_units = 0
-    raw_chars = 0
-    clean_chars = 0
+    by_category: dict = {}
+    true_units = total_units = raw_chars = clean_chars = 0
     for record in scorable:
-        precisions.append(_record_precision(record))
+        if not record.category:
+            raise ValueError(f"record {record.question_id} has no category")
+        precision = _record_precision(record)
+        precisions.append(precision)
+        by_category.setdefault(record.category, []).append(precision)
         true_units += sum(1 for u in record.units if u.verdict is Verdict.TRUE)
         total_units += len(record.units)
         raw_chars += len(record.raw_response)
         clean_chars += len(record.preprocessed or "")
+    for record in scorable:
         record.status = Status.SCORED
 
     n = len(scorable)
-    counts = {status: 0 for status in Status}
-    for record in records:
-        counts[record.status] += 1
-
+    counts = Counter(r.status for r in records)
     return ScoreReport(
-        model_id=model_id,
+        model_id=models.pop(),
         dahl_score=sum(precisions) / n,
-        per_category=categories,
+        per_category={
+            label: CategoryScore(score=sum(values) / len(values), n=len(values))
+            for label, values in sorted(by_category.items())
+        },
         n_scored=n,
         n_excluded_noncommittal=counts[Status.EXCLUDED_NONCOMMITTAL],
         n_excluded_unknown=counts[Status.EXCLUDED_UNKNOWN],
@@ -117,7 +106,7 @@ def render_report(report: ScoreReport, fmt: str) -> bytes:
         return (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         return _render_csv(report)
-    if fmt in ("md", "markdown"):
+    if fmt == "markdown":
         return _render_markdown(report)
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -1,7 +1,8 @@
 """Domain types shared by every pipeline stage.
 
-Plain dataclasses plus a few enums. Each persisted type carries a
-``to_dict``/``from_dict`` pair defining its wire shape; JSON is always
+Plain dataclasses plus a few enums. Each type read back from a file
+carries a ``to_dict``/``from_dict`` pair defining its wire shape; a
+report is only written, so it has ``to_dict`` alone. JSON is always
 written with alphabetically sorted keys so files diff cleanly.
 """
 
@@ -106,9 +107,10 @@ class SourceDocument:
 
 @dataclass(frozen=True)
 class CategorySet:
-    """Closed set of category labels, checked case-insensitively.
+    """Closed set of category labels.
 
-    Labels are non-empty and carry no surrounding whitespace.
+    Labels are non-empty and carry no surrounding whitespace. Uniqueness
+    and resolve() fold case; membership (``in``) is exact.
     """
 
     labels: tuple
@@ -347,10 +349,6 @@ class CategoryScore:
     def to_dict(self) -> dict:
         return {"n": self.n, "score": self.score}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CategoryScore":
-        return cls(score=float(d["score"]), n=int(d["n"]))
-
 
 @dataclass
 class ScoreReport:
@@ -401,22 +399,3 @@ class ScoreReport:
             "per_category": {label: cs.to_dict() for label, cs in self.per_category.items()},
             "pooled_unit_score": self.pooled_unit_score,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreReport":
-        return cls(
-            model_id=str(d["model_id"]),
-            dahl_score=float(d["dahl_score"]),
-            per_category={
-                label: CategoryScore.from_dict(cs) for label, cs in d["per_category"].items()
-            },
-            n_scored=int(d["n_scored"]),
-            n_excluded_noncommittal=int(d["n_excluded_noncommittal"]),
-            n_excluded_unknown=int(d["n_excluded_unknown"]),
-            n_excluded_mismatch=int(d["n_excluded_mismatch"]),
-            n_failed=int(d["n_failed"]),
-            avg_response_length_chars=float(d["avg_response_length_chars"]),
-            avg_raw_length_chars=float(d["avg_raw_length_chars"]),
-            pooled_unit_score=float(d["pooled_unit_score"]),
-            model_size=d.get("model_size"),
-        )

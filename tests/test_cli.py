@@ -658,6 +658,7 @@ backends:
 EVALUATE = ["evaluate", "--config", "{dir}/run.yaml", "--questions", "{questions}"]
 EVALUATE += ["--out", "{dir}/out"]
 GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
+REPEATED_RECORD = json.dumps(make_record(qid="h1", status=Status.SCORED).to_dict()) + "\n"
 
 
 def http_checker(setting):
@@ -843,6 +844,21 @@ def http_checker(setting):
             ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.jsonl"],
             "{dir}/human.jsonl: line 2: line is not a JSON object",
         ),
+        (
+            {"run.yaml": BACKENDS + "prompts: {checker: c.txt}\n", "c.txt": "Is it true?"},
+            EVALUATE,
+            "prompts.checker: {dir}/c.txt lacks the placeholder {{unit}}",
+        ),
+        (
+            {"repeats.jsonl": REPEATED_RECORD * 2},
+            ["score", "--records", "{dir}/repeats.jsonl", "--out-dir", "{dir}/out"],
+            "records repeat question ids: ['h1']",
+        ),
+        (
+            {"repeats.jsonl": REPEATED_RECORD * 2, "human.csv": "question_id,score\nh1,0.5\n"},
+            ["compare-human", "--records", "{dir}/repeats.jsonl", "--human", "{dir}/human.csv"],
+            "records repeat question ids: ['h1']",
+        ),
     ],
     ids=[
         "seed-not-int",
@@ -877,6 +893,9 @@ def http_checker(setting):
         "pearson-invalid-json",
         "pearson-missing-y",
         "human-not-object",
+        "prompt-without-subject",
+        "score-repeated-id",
+        "compare-human-repeated-id",
     ],
 )
 def test_a_bad_run_input_fails_with_one_error_naming_where(

@@ -184,6 +184,35 @@ def test_referenced_files_checked_at_load(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "name, subject, text",
+    [
+        ("checker", "{unit}", "Is the claim true? Answer True or False."),
+        ("checker", "{unit}", ""),
+        ("splitter", "{response}", "List the claims, one per line."),
+        ("response_generation", "{question}", "Answer the question."),
+        ("categorizer", "{question}", "Pick one of:\n{labels}"),
+        ("question_generation", "{body}", "Write {n} questions about {title}."),
+    ],
+    ids=["checker", "checker-empty", "splitter", "response-generation", "categorizer", "qgen"],
+)
+def test_a_prompt_template_without_its_subject_is_refused(tmp_path, name, subject, text):
+    (tmp_path / "t.txt").write_text(text, encoding="utf-8")
+    path = write_config(tmp_path, BASE + f"prompts:\n  {name}: t.txt\n")
+    want = f"prompts.{name}: {tmp_path / 't.txt'} lacks the placeholder {subject}"
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        load_config(path)
+
+
+def test_every_packaged_prompt_template_loads_from_a_file(tmp_path):
+    lines = ["prompts:"]
+    for name in PROMPT_NAMES:
+        (tmp_path / f"{name}.txt").write_text(load_prompt(name), encoding="utf-8")
+        lines.append(f"  {name}: {name}.txt")
+    cfg = load_config(write_config(tmp_path, BASE + "\n".join(lines) + "\n"))
+    assert cfg.prompts == {name: load_prompt(name) for name in PROMPT_NAMES}
+
+
 def test_relative_paths_resolve_against_config_directory(tmp_path):
     sub = tmp_path / "conf"
     sub.mkdir()

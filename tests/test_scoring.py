@@ -10,7 +10,6 @@ import pytest
 from dahl.score import (
     NoScorableResponsesError,
     dahl_score,
-    per_category_scores,
     precision_by_question,
     render_report,
     response_precision,
@@ -96,15 +95,13 @@ def test_dahl_score_requires_scorable_records():
         dahl_score([])
 
 
-def test_dahl_score_rejects_mixed_models_without_explicit_id():
+def test_dahl_score_rejects_mixed_models():
     records = [
         make_record(qid="a", model="one", status=Status.CHECKED, verdicts=(Verdict.TRUE,)),
         make_record(qid="b", model="two", status=Status.CHECKED, verdicts=(Verdict.TRUE,)),
     ]
     with pytest.raises(ValueError, match="several models"):
         dahl_score(records)
-    report = dahl_score(records, model_id="combined")
-    assert report.model_id == "combined"
 
 
 def test_average_lengths_cover_scorable_records_only():
@@ -130,25 +127,57 @@ def test_average_lengths_cover_scorable_records_only():
     assert report.avg_response_length_chars == pytest.approx(45.0)
 
 
-def test_per_category_scores_sorted_and_pure():
+def test_per_category_scores_sorted():
     records = [
         make_record(qid="a", category="Surgery", status=Status.CHECKED, verdicts=(Verdict.TRUE,)),
         make_record(qid="b", category="Medicine", status=Status.CHECKED, verdicts=(Verdict.FALSE,)),
         make_record(qid="c", category="Medicine", status=Status.SCORED, verdicts=(Verdict.TRUE,)),
         make_record(qid="d", category="Surgery", status=Status.FAILED, verdicts=None),
     ]
-    scores = per_category_scores(records)
+    scores = dahl_score(records).per_category
     assert list(scores) == ["Medicine", "Surgery"]
     assert scores["Medicine"] == CategoryScore(score=0.5, n=2)
     assert scores["Surgery"] == CategoryScore(score=1.0, n=1)
-    # purity: statuses unchanged
-    assert records[0].status is Status.CHECKED
 
 
 def test_per_category_requires_category_on_scorable_records():
     record = make_record(status=Status.CHECKED, verdicts=(Verdict.TRUE,), category=None)
     with pytest.raises(ValueError, match="no category"):
-        per_category_scores([record])
+        dahl_score([record])
+
+
+@pytest.mark.parametrize(
+    "second, error",
+    [
+        ({"category": None}, "no category"),
+        ({"model": "other-model"}, "several models"),
+    ],
+)
+def test_a_refused_score_leaves_every_status_as_it_was(second, error):
+    records = [
+        make_record(qid="a", status=Status.CHECKED, verdicts=(Verdict.TRUE,)),
+        make_record(qid="b", status=Status.CHECKED, verdicts=(Verdict.FALSE,), **second),
+        make_record(qid="c", status=Status.SCORED, verdicts=(Verdict.TRUE,)),
+        make_record(qid="d", status=Status.CHECKED, verdicts=(Verdict.TRUE,)),
+        make_record(qid="f", status=Status.FAILED, verdicts=None),
+    ]
+    before = [r.status for r in records]
+    with pytest.raises(ValueError, match=error):
+        dahl_score(records)
+    assert [r.status for r in records] == before
+
+
+def test_scoring_refuses_records_that_repeat_a_question_id():
+    records = [
+        make_record(qid="a", status=Status.CHECKED, verdicts=(Verdict.TRUE,)),
+        make_record(qid="b", status=Status.CHECKED, verdicts=(Verdict.FALSE,)),
+        make_record(qid="a", status=Status.CHECKED, verdicts=(Verdict.TRUE,)),
+    ]
+    with pytest.raises(ValueError, match=r"records repeat question ids: \['a'\]"):
+        dahl_score(records)
+    with pytest.raises(ValueError, match=r"records repeat question ids: \['a'\]"):
+        precision_by_question(records)
+    assert records[0].status is Status.CHECKED
 
 
 def test_precision_by_question():
@@ -244,6 +273,17 @@ def test_scores_match_brute_force_recount():
     assert sum(cs.n for cs in report.per_category.values()) == report.n_scored
 
 
+def test_per_category_scores_in_shuffled_order_match_brute_force_recount():
+    records = _random_fixture(220, seed=11)
+    random.Random(5).shuffle(records)
+    _, want_cat, _ = oracles.recount_scores([r.to_dict() for r in records])
+
+    report = dahl_score(records)
+    # Each category adds the same floats in the same record order as the recount.
+    assert {label: (cs.score, cs.n) for label, cs in report.per_category.items()} == want_cat
+    assert list(report.per_category) == sorted(want_cat)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -271,10 +311,7 @@ def _sample_report():
 def test_json_rendering_round_trips_losslessly():
     report = _sample_report()
     blob = render_report(report, "json")
-    clone = ScoreReport.from_dict(json.loads(blob.decode("utf-8")))
-    # model_size travels outside the JSON payload
-    clone.model_size = report.model_size
-    assert clone == report
+    assert json.loads(blob) == report.to_dict()
     assert blob.endswith(b"\n")
 
 
@@ -295,7 +332,6 @@ def test_markdown_rendering_shows_headline_numbers():
     assert "| gpt-4o | - | 935 | 0.9365 |" in lines
     assert "| Medicine | 611 | 0.9322 |" in text
     assert "Scored 2321 of 2385 responses" in text
-    assert render_report(_sample_report(), "md") == render_report(_sample_report(), "markdown")
 
 
 def test_render_rejects_unknown_format():
