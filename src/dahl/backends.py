@@ -1,14 +1,16 @@
 """Chat-completion backends.
 
-Four layers, composable from the inside out:
+Three layers, composable from the inside out:
 
   HttpBackend        talks JSON to a chat-completion endpoint with
                      retries (exponential backoff plus jitter)
-  ThrottledBackend   caps in-flight calls and request rate
+  ThrottledBackend   caps in-flight calls and request rate, for an
+                     endpoint that declares a limit
   CachedBackend      response cache in one SQLite file, keyed by a
                      hash of the request and of who it goes to, so
                      reruns and resumes cost nothing
-  MockBackend        deterministic offline stand-in for tests
+
+MockBackend, a deterministic offline stand-in, wraps nothing.
 
 Auth tokens come only from environment variables named in the
 BackendSpec; they never appear in config files or on disk.
@@ -22,6 +24,7 @@ import random
 import sqlite3
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence, Tuple, Union
 
@@ -85,13 +88,13 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """Wiring for one HTTP backend."""
+    """Wiring for one HTTP backend. Leave both limits unset unless the endpoint has them."""
 
     backend_id: str
     endpoint: str
     model: str
     auth_env: Optional[str] = None
-    max_concurrency: int = 4
+    max_concurrency: Optional[int] = None  # None: the run's concurrency bounds it
     timeout_s: float = 60.0
     requests_per_second: Optional[float] = None  # None: no limit
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -99,7 +102,7 @@ class BackendSpec:
     def __post_init__(self) -> None:
         if not self.backend_id:
             raise ValueError("backend_id: must be non-empty")
-        if self.max_concurrency < 1:
+        if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ValueError(f"max_concurrency: must be >= 1, got {self.max_concurrency}")
         if not self.timeout_s > 0:
             raise ValueError(f"timeout_s: must be > 0, got {self.timeout_s}")
@@ -283,25 +286,32 @@ class TokenBucket:
 
 
 class ThrottledBackend:
-    """Caps in-flight calls (semaphore) and request rate (token bucket)."""
+    """Caps in-flight calls (semaphore) and request rate (token bucket).
+
+    max_concurrency None means no cap, only the rate limit. A call
+    takes one token before it reaches the inner backend, so the rate
+    paces calls, not tries: the retries inside an HttpBackend are
+    spaced only by its backoff.
+    """
 
     def __init__(
         self,
         inner: Backend,
-        max_concurrency: int,
+        max_concurrency: Optional[int],
         requests_per_second: Optional[float] = None,
     ) -> None:
-        if max_concurrency < 1:
+        if max_concurrency is not None and max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
         self._inner = inner
         self.backend_id = inner.backend_id
         self.model = inner.model
         self.endpoint = endpoint_of(inner)
-        self._semaphore = threading.BoundedSemaphore(max_concurrency)
+        capped = max_concurrency is not None
+        self._slots = threading.BoundedSemaphore(max_concurrency) if capped else nullcontext()
         self._bucket = TokenBucket(requests_per_second) if requests_per_second is not None else None
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        with self._semaphore:
+        with self._slots:
             if self._bucket is not None:
                 self._bucket.acquire()
             return self._inner.complete(req)
@@ -446,11 +456,12 @@ def endpoint_of(backend: Backend) -> Optional[str]:
 
 
 def build_http_backend(spec: BackendSpec, cache_dir: Optional[str] = None) -> Backend:
-    """Assemble the standard stack: cache over throttle over HTTP."""
+    """Assemble the standard stack: cache over HTTP, throttled only for a declared limit."""
     backend: Backend = HttpBackend(spec)
-    backend = ThrottledBackend(
-        backend, spec.max_concurrency, requests_per_second=spec.requests_per_second
-    )
+    if spec.max_concurrency is not None or spec.requests_per_second is not None:
+        backend = ThrottledBackend(
+            backend, spec.max_concurrency, requests_per_second=spec.requests_per_second
+        )
     if cache_dir:
         backend = CachedBackend(backend, cache_dir)
     return backend

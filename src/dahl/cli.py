@@ -50,6 +50,15 @@ def _warn_diagnostics(diagnostics, path: str, limit: int = 5) -> None:
         print(f"warning: {path}: +{len(diagnostics) - limit} more bad lines", file=sys.stderr)
 
 
+def _read_usable(read, path: str, what: str, *args) -> list:
+    """read(path, *args)'s items, after warning about its bad lines; none usable is an error."""
+    items, diagnostics = read(path, *args)
+    _warn_diagnostics(diagnostics, path)
+    if not items:
+        raise ValueError(f"{path}: no usable {what}")
+    return items
+
+
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -181,10 +190,7 @@ def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
 
 def cmd_build_dataset(args) -> int:
     cfg = _load_run_config(args)
-    corpus, diagnostics = read_source_documents(args.corpus)
-    _warn_diagnostics(diagnostics, args.corpus)
-    if not corpus:
-        raise ValueError(f"{args.corpus}: no usable documents")
+    corpus = _read_usable(read_source_documents, args.corpus, "documents")
 
     role = "question_generator" if "question_generator" in cfg.backends else "generator"
     with contextlib.ExitStack() as backends:
@@ -223,10 +229,7 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    questions, diagnostics = read_questions(args.questions, cfg.category_set)
-    _warn_diagnostics(diagnostics, args.questions)
-    if not questions:
-        raise ValueError(f"{args.questions}: no usable questions")
+    questions = _read_usable(read_questions, args.questions, "questions", cfg.category_set)
 
     with contextlib.ExitStack() as backends:
         generator = _closed_on_exit(backends, cfg.build_backend("generator"))
@@ -259,10 +262,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    records, diagnostics = read_eval_records(args.records)
-    _warn_diagnostics(diagnostics, args.records)
-    if not records:
-        raise ValueError(f"{args.records}: no usable records")
+    records = _read_usable(read_eval_records, args.records, "records")
     report = dahl_score(records)
     if args.model_size:
         report.model_size = args.model_size
@@ -281,10 +281,7 @@ def cmd_score(args) -> int:
 
 def cmd_ablate_temperature(args) -> int:
     cfg = _load_run_config(args)
-    questions, diagnostics = read_questions(args.questions, cfg.category_set)
-    _warn_diagnostics(diagnostics, args.questions)
-    if not questions:
-        raise ValueError(f"{args.questions}: no usable questions")
+    questions = _read_usable(read_questions, args.questions, "questions", cfg.category_set)
     try:
         temperatures = [float(t) for t in args.temps.split(",") if t.strip()]
     except ValueError:
@@ -371,10 +368,7 @@ def cmd_stats_ftest(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    questions, diagnostics = read_questions(args.questions)
-    _warn_diagnostics(diagnostics, args.questions)
-    if not questions:
-        raise ValueError(f"{args.questions}: no usable questions")
+    questions = _read_usable(read_questions, args.questions, "questions")
     subset = stratified_sample(questions, args.fraction, args.seed)
     write_records(subset, args.out)
     print(f"sampled {len(subset)} of {len(questions)} questions -> {args.out}", file=sys.stderr)

@@ -124,15 +124,9 @@ def read_source_documents(path: str):
     seen = set()
 
     def check(doc: SourceDocument) -> list:
-        violations = []
-        if not doc.doc_id.strip():
-            violations.append("doc_id must be non-empty")
-        elif doc.doc_id in seen:
-            violations.append(f"duplicate doc_id {doc.doc_id!r}")
-        else:
-            seen.add(doc.doc_id)
-        if not doc.body.strip():
-            violations.append("body must be non-empty")
-        return violations
+        if doc.doc_id in seen:
+            return [f"duplicate doc_id {doc.doc_id!r}"]
+        seen.add(doc.doc_id)
+        return []
 
     return _read_typed(path, SourceDocument.from_dict, check)

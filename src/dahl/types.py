@@ -84,13 +84,21 @@ class GenConfig:
         )
 
 
+def _required_text(d: dict, key: str) -> str:
+    """d[key] as text; a missing, null or blank value is refused, a number converts."""
+    value = d.get(key)
+    if value is None or not str(value).strip():
+        raise ValueError(f"{key} must be non-empty")
+    return str(value)
+
+
 @dataclass(frozen=True)
 class SourceDocument:
     """One input document: title plus full text.
 
-    Emptiness and id uniqueness are data-quality concerns checked at
-    corpus load time (see records.read_source_documents), not here, so
-    that malformed lines surface as diagnostics instead of exceptions.
+    from_dict refuses an empty id or body; id uniqueness is checked at
+    corpus load time (see records.read_source_documents). Both surface
+    as line diagnostics there.
     """
 
     doc_id: str
@@ -102,7 +110,12 @@ class SourceDocument:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceDocument":
-        return cls(doc_id=str(d["doc_id"]), title=str(d.get("title", "")), body=str(d["body"]))
+        title = d.get("title")
+        return cls(
+            doc_id=_required_text(d, "doc_id"),
+            title="" if title is None else str(title),
+            body=_required_text(d, "body"),
+        )
 
 
 @dataclass(frozen=True)
@@ -195,11 +208,9 @@ class Question:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Question":
-        if not str(d["text"]).strip():
-            raise ValueError("question text must be non-empty")
         return cls(
-            question_id=str(d["question_id"]),
-            text=str(d["text"]),
+            question_id=_required_text(d, "question_id"),
+            text=_required_text(d, "text"),
             category=str(d["category"]),
             source_doc_id=str(d["source_doc_id"]),
             filter_trace=[str(r) for r in d.get("filter_trace", [])],

@@ -485,9 +485,15 @@ def test_mock_miss_is_a_permanent_backend_error():
 
 
 def test_build_http_backend_stacks_cache_over_throttle(tmp_path):
-    backend = build_http_backend(spec(), cache_dir=str(tmp_path))
-    assert isinstance(backend, CachedBackend)
-    assert backend.backend_id == "gen"
-    assert backend.model == "m-1"
-    bare = build_http_backend(spec())
-    assert isinstance(bare, ThrottledBackend)
+    # The throttle sits between cache and HTTP only for a declared provider limit.
+    with build_http_backend(spec(), cache_dir=str(tmp_path)) as backend:
+        assert isinstance(backend._inner, HttpBackend)
+        assert backend.backend_id == "gen"
+        assert backend.model == "m-1"
+    with build_http_backend(spec(max_concurrency=2), cache_dir=str(tmp_path)) as capped:
+        assert isinstance(capped._inner, ThrottledBackend)
+        assert isinstance(capped._inner._inner, HttpBackend)
+    assert isinstance(build_http_backend(spec()), HttpBackend)
+    rate_only = build_http_backend(spec(requests_per_second=5.0))
+    assert isinstance(rate_only, ThrottledBackend)
+    assert not isinstance(rate_only._slots, threading.BoundedSemaphore)

@@ -5,10 +5,15 @@ from __future__ import annotations
 import json
 import os
 import textwrap
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
+import requests
 
 from factories import make_record
+from dahl import mocks
 from dahl.cli import main
 from dahl.records import read_eval_records, read_questions, write_records
 from dahl.stats import f_test_equal_variance, pearson, t_test
@@ -263,6 +268,82 @@ def test_failed_command_closes_the_cache_it_opened(tmp_path, capsys, questions_p
     assert code == 1
     assert "checker" in stderr
     assert os.listdir(cache) == ["cache.sqlite"]
+
+
+class _CheckerEndpoint:
+    """Stands in for requests.Session.post: replies as the mock checker and counts calls in flight.
+
+    The first `together` calls each wait until that many are in flight at
+    once, so a run that never gets them all out together breaks the barrier.
+    """
+
+    def __init__(self, together=0):
+        self.lock = threading.Lock()
+        self.calls = self.now = self.peak = 0
+        self.together = together
+        self.barrier = threading.Barrier(together, timeout=5) if together else None
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            self.calls += 1
+            waits = self.calls <= self.together
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            if waits:
+                self.barrier.wait()
+            else:
+                time.sleep(0.001)
+            prompt = SimpleNamespace(user_prompt=json["messages"][-1]["content"])
+            payload = {"choices": [{"message": {"content": mocks.checker_reply(prompt)}}]}
+            return SimpleNamespace(status_code=200, json=lambda: payload)
+        finally:
+            with self.lock:
+                self.now -= 1
+
+
+def _evaluate_with_http_checker(tmp_path, capsys, setting, concurrency, out):
+    """Run evaluate over 40 questions with an HTTP checker entry that carries setting."""
+    questions = tmp_path / "forty.jsonl"
+    write_records(
+        [
+            Question(f"q{i:02d}", f"What is the management of presentation {i}?", "Medicine", "d")
+            for i in range(40)
+        ],
+        str(questions),
+    )
+    checker = f"{{kind: http, model: c, endpoint: 'http://check.test/v1/chat'{setting}}}"
+    config = tmp_path / "http-checker.yaml"
+    config.write_text(BACKENDS.replace("{kind: mock, model: c}", checker), encoding="utf-8")
+    argv = ["evaluate", "--config", str(config), "--questions", str(questions)]
+    code, _, stderr = run_cli(capsys, argv + ["--out", str(out), "--concurrency", concurrency])
+    assert code == 0, stderr
+
+
+def test_an_http_checker_without_a_cap_gets_as_many_calls_in_flight_as_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    endpoint = _CheckerEndpoint(together=16)
+    monkeypatch.setattr(requests.Session, "post", endpoint.post)
+    _evaluate_with_http_checker(tmp_path, capsys, "", "16", tmp_path / "out")
+    assert endpoint.peak == 16
+    assert endpoint.now == 0
+
+
+def test_an_http_checker_keeps_to_its_cap_and_writes_the_same_bytes_with_or_without_one(
+    tmp_path, capsys, monkeypatch
+):
+    outputs = set()
+    for setting, cap in (("", None), (", max_concurrency: 2", 2)):
+        for concurrency in ("1", "16"):
+            endpoint = _CheckerEndpoint()
+            monkeypatch.setattr(requests.Session, "post", endpoint.post)
+            out = tmp_path / f"out-{cap}-{concurrency}"
+            _evaluate_with_http_checker(tmp_path, capsys, setting, concurrency, out)
+            assert 1 <= endpoint.peak <= min(cap or 16, int(concurrency))
+            names = ("records.jsonl", "report.json", "report.csv", "report.md")
+            outputs.add(tuple((out / name).read_bytes() for name in names))
+    assert len(outputs) == 1
 
 
 def test_cli_requires_a_command(capsys):
@@ -859,6 +940,44 @@ def http_checker(setting):
             ["compare-human", "--records", "{dir}/repeats.jsonl", "--human", "{dir}/human.csv"],
             "records repeat question ids: ['h1']",
         ),
+        (
+            {"run.yaml": BACKENDS, "empty.jsonl": ""},
+            ["evaluate", "--config", "{dir}/run.yaml", "--questions", "{dir}/empty.jsonl"]
+            + ["--out", "{dir}/out"],
+            "{dir}/empty.jsonl: no usable questions",
+        ),
+        (
+            {"run.yaml": BACKENDS, "empty.jsonl": ""},
+            ["ablate-temperature", "--config", "{dir}/run.yaml", "--questions", "{dir}/empty.jsonl"]
+            + ["--out", "{dir}/out", "--temps", "0.1"],
+            "{dir}/empty.jsonl: no usable questions",
+        ),
+        (
+            {"empty.jsonl": ""},
+            ["sample", "--questions", "{dir}/empty.jsonl", "--out", "{dir}/out"],
+            "{dir}/empty.jsonl: no usable questions",
+        ),
+        (
+            {"run.yaml": BACKENDS},
+            ["ablate-temperature", "--config", "{dir}/run.yaml", "--questions", "{questions}"]
+            + ["--out", "{dir}/out", "--temps", "0.1,abc"],
+            "cannot parse temperatures from '0.1,abc'",
+        ),
+        (
+            {"a.txt": "score\n", "b.txt": "0.1 0.2\n"},
+            ["stats", "ttest", "--a", "{dir}/a.txt", "--b", "{dir}/b.txt"],
+            "{dir}/a.txt: no numeric data found",
+        ),
+        (
+            {"pairs.csv": "x,y\n"},
+            ["stats", "pearson", "--pairs", "{dir}/pairs.csv"],
+            "{dir}/pairs.csv: no pairs found",
+        ),
+        (
+            {"human.csv": "question_id,score\nh1,\nh2,1.0\n"},
+            ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.csv"],
+            "{dir}/human.csv: row 2 has no score",
+        ),
     ],
     ids=[
         "seed-not-int",
@@ -896,6 +1015,13 @@ def http_checker(setting):
         "prompt-without-subject",
         "score-repeated-id",
         "compare-human-repeated-id",
+        "evaluate-no-questions",
+        "ablate-no-questions",
+        "sample-no-questions",
+        "ablate-temps-not-numeric",
+        "ttest-no-numbers",
+        "pearson-header-only",
+        "compare-human-row-without-score",
     ],
 )
 def test_a_bad_run_input_fails_with_one_error_naming_where(

@@ -10,9 +10,9 @@ import pytest
 from dahl.backends import (
     BackendSpec,
     CachedBackend,
+    HttpBackend,
     MockBackend,
     RetryPolicy,
-    ThrottledBackend,
     close_backend,
 )
 from dahl.config import ConfigError, load_config
@@ -133,6 +133,7 @@ cache_dir: cache
     cfg = load_config(path)
     backend = cfg.build_backend("generator")
     assert isinstance(backend, CachedBackend)
+    assert isinstance(backend._inner, HttpBackend)
 
     bare = write_config(
         tmp_path,
@@ -140,7 +141,7 @@ cache_dir: cache
         name="nocache.yaml",
     )
     built_without_cache = load_config(bare).build_backend("generator")
-    assert isinstance(built_without_cache, ThrottledBackend)
+    assert isinstance(built_without_cache, HttpBackend)
 
 
 def test_missing_role_at_build_time(tmp_path):
@@ -280,7 +281,7 @@ cache_dir: null
     assert cfg.prompts["checker"] == load_prompt("checker")
     backend = cfg.build_backend("generator")
     try:
-        assert backend._inner.spec.max_concurrency == 4
+        assert backend.spec.max_concurrency is None
     finally:
         close_backend(backend)
 
@@ -320,7 +321,7 @@ backends:
             requests_per_second=10.0,
             retry=RetryPolicy(max_attempts=3, base_backoff_s=0.1),
         )
-        assert checker._inner.spec == BackendSpec(
+        assert checker.spec == BackendSpec(
             backend_id="checker", endpoint="http://unit.test/check", model="c"
         )
     finally:

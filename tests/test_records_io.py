@@ -157,6 +157,51 @@ def test_source_documents_duplicate_and_empty_diagnostics(tmp_path):
     assert "body must be non-empty" in messages
 
 
+_QUESTION = {"question_id": "q1", "text": "What treats gout?", "category": "C", "source_doc_id": "d"}
+_DOCUMENT = {"doc_id": "d1", "title": "Gout", "body": "Gout is treated with rest."}
+_ABSENT = object()
+
+
+def _write_lines(path, objs):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(obj) + "\n" for obj in objs))
+
+
+@pytest.mark.parametrize("value", [None, "", "  ", _ABSENT], ids=["null", "empty", "blank", "missing"])
+@pytest.mark.parametrize(
+    "read, good, key",
+    [
+        (read_questions, _QUESTION, "question_id"),
+        (read_questions, _QUESTION, "text"),
+        (read_source_documents, _DOCUMENT, "doc_id"),
+        (read_source_documents, _DOCUMENT, "body"),
+    ],
+    ids=["question_id", "text", "doc_id", "body"],
+)
+def test_a_null_or_blank_required_field_is_a_line_diagnostic_not_the_text_none(
+    tmp_path, read, good, key, value
+):
+    bad = {k: v for k, v in good.items() if k != key}
+    if value is not _ABSENT:
+        bad[key] = value
+    path = str(tmp_path / "lines.jsonl")
+    _write_lines(path, [bad, good])
+    loaded, diagnostics = read(path)
+    assert [getattr(item, key) for item in loaded] == [good[key]]
+    assert [str(d) for d in diagnostics] == [f"line 1: cannot parse record: {key} must be non-empty"]
+
+
+def test_a_numeric_id_converts_and_a_null_title_reads_as_empty(tmp_path):
+    questions = str(tmp_path / "q.jsonl")
+    _write_lines(questions, [{**_QUESTION, "question_id": 5}])
+    corpus = str(tmp_path / "corpus.jsonl")
+    _write_lines(corpus, [{**_DOCUMENT, "doc_id": 7, "title": None}])
+    (question,), _ = read_questions(questions)
+    (document,), _ = read_source_documents(corpus)
+    assert question.question_id == "5"
+    assert (document.doc_id, document.title) == ("7", "")
+
+
 def test_atomic_write_replaces_not_appends(tmp_path):
     path = str(tmp_path / "file.txt")
     atomic_write_text(path, "first version\n")
