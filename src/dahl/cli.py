@@ -66,6 +66,8 @@ def _print_json(obj: dict) -> None:
 def _load_run_config(args) -> RunConfig:
     """The config file's settings, with the command line's overrides applied."""
     cfg = load_config(args.config, cache_dir_override=getattr(args, "cache_dir", None))
+    if cfg.cache_dir is None:  # HTTP replies are a run's durable state, so keep them by default
+        cfg.cache_dir = args.out
     for name in ("concurrency", "questions_per_doc"):
         value = getattr(args, name, None)
         if value is not None:
@@ -390,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="YAML run configuration")
     common.add_argument("--cache-dir", help="override the config's response cache directory")
     common.add_argument("--concurrency", type=int, help="worker pool size override")
+    resume_help = "rerun through the response cache; refuse changed settings"
 
     p = sub.add_parser(
         "build-dataset", parents=[common], help="generate, filter, and categorize questions"
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--questions", required=True, help="questions.jsonl")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--resume", action="store_true", help="continue from records.jsonl and journal")
+    p.add_argument("--resume", action="store_true", help=resume_help)
     p.add_argument("--stop-after", choices=STAGES, help="halt after this stage (for testing)")
     p.add_argument("--temperature", type=float, help="override generation temperature")
     p.add_argument("--max-tokens", type=int, help="override generation token budget")
@@ -427,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.1, help="stratified sample fraction")
     p.add_argument("--seed", type=int, help="sampling seed (default: config seed)")
     p.add_argument("--allow-high-temps", action="store_true", help="permit temperatures > 1.0")
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--resume", action="store_true", help=resume_help)
     p.set_defaults(func=cmd_ablate_temperature)
 
     p = sub.add_parser("compare-human", help="correlate automated precision with human scores")

@@ -1,12 +1,14 @@
-"""Evaluation pipeline: one task per question, journaled resume, temperature ablation.
+"""Evaluation pipeline: one task per question, resume by replay, temperature ablation.
 
 Questions run as tasks of one bounded pool (tasks.run_tasks), whose
 workers include the calling thread; the check step shares a record's
-units with workers that have no question left to start. The task that
-finishes a record appends it to a journal (flushed, not fsynced), so
-records are journaled in the order they finish; at the end the records
-file is written once, atomically. Resume reads both, so interrupting at
-any point and resuming reproduces the uninterrupted run byte for byte:
+units with workers that have no question left to start. Every run takes
+every question from generate on, and records.jsonl is written once at
+the end, atomically. A run keeps no state of its own between attempts:
+its model replies are its durable state, kept by the backends' response
+cache (backends.CachedBackend). Given its replies the pipeline is
+deterministic, so a rerun after an interrupt replays the finished calls
+from the cache and reproduces the uninterrupted run byte for byte:
 record order follows the questions file, verdicts follow unit order,
 serialization is key-sorted, and nothing time-dependent is ever
 persisted.
@@ -20,7 +22,6 @@ import io
 import json
 import os
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import defaults
 from .backends import Backend, endpoint_of
 from .check import VERDICT_PARSER, check_response
-from .records import atomic_write_text, dumps_compact, read_eval_records, write_records
+# read_eval_records is not called here; bench/tracing.py hooks it under this module's name.
+from .records import atomic_write_text, read_eval_records, write_records
 from .responses import generate_response, preprocess, render_question_prompt
 from .score import dahl_score, render_report
 from .split import split_into_units
@@ -60,12 +62,8 @@ def write_report_files(report: ScoreReport, out_dir: str) -> None:
         )
 
 
-def _check_manifest(path: str, manifest: dict, resume: bool, has_records: bool) -> None:
-    """Refuse a resume whose settings differ from the run it continues.
-
-    A fresh run gets a manifest, and so does a resume with no records
-    yet; records without a manifest have unknown settings and are refused.
-    """
+def _check_manifest(path: str, manifest: dict, resume: bool) -> None:
+    """Refuse a resume whose settings differ from the run it continues; else write them."""
     if resume and os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             try:
@@ -81,8 +79,6 @@ def _check_manifest(path: str, manifest: dict, resume: bool, has_records: bool) 
                     f"{manifest.get(field)!r} (see {path})"
                 )
         return
-    if resume and has_records:
-        raise PipelineError(f"cannot resume: no {path}, so the records' settings are unknown")
     atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -100,21 +96,23 @@ def run_evaluation(
 ) -> EvaluationResult:
     """Run generate -> preprocess -> split -> check -> score.
 
-    Each question is one pool task that applies every step whose input
-    status its record has, up to stop_after (how tests simulate an
+    Each question is one pool task that takes its record from generate
+    through every step up to stop_after (how tests simulate an
     interrupt). At most `concurrency` model calls are in flight, over
-    all three roles. With resume, records already past a step are left
-    alone, records of questions no longer asked are written back
-    unchanged, and changed settings raise PipelineError; without it,
-    existing records are ignored and overwritten.
+    all three roles. No earlier record is read: resuming is rerunning,
+    and the backends' response cache turns the calls an earlier attempt
+    finished into hits. A caller
+    whose backends are neither cached nor deterministic (say, uncached
+    HTTP) therefore repeats every call on resume, with new replies. What
+    resume adds is a check: changed settings raise PipelineError instead
+    of mixing two runs in one report.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise PipelineError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
     if not questions:
         raise PipelineError("no questions to evaluate")
     ids = [q.question_id for q in questions]
-    known = set(ids)
-    if len(known) != len(ids):
+    if len(set(ids)) != len(ids):
         dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise PipelineError(f"duplicate question ids: {dupes}")
     prompts = prompts or {}
@@ -124,7 +122,6 @@ def run_evaluation(
 
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, "records.jsonl")
-    journal_path = os.path.join(out_dir, "records.journal.jsonl")
     manifest = {"gen_config": gen_config.to_dict(), "verdict_parser": VERDICT_PARSER}
     for role, backend in (("generator", generator), ("splitter", splitter), ("checker", checker)):
         manifest[f"{role}_model"] = backend.model
@@ -132,28 +129,12 @@ def run_evaluation(
     for name in ("response_generation", "splitter", "checker"):
         template = defaults.fill_template(name, prompts.get(name))
         manifest[f"{name}_prompt_sha256"] = hashlib.sha256(template.encode("utf-8")).hexdigest()
-    has_records = os.path.exists(records_path) or os.path.exists(journal_path)
-    _check_manifest(os.path.join(out_dir, "run_manifest.json"), manifest, resume, has_records)
-
-    existing: Dict[str, EvalRecord] = {}
-    if resume and os.path.exists(records_path):
-        loaded, diagnostics = read_eval_records(records_path)
-        if diagnostics:
-            raise PipelineError(
-                f"cannot resume from {records_path}: {diagnostics[0]}"
-                + (f" (+{len(diagnostics) - 1} more)" if len(diagnostics) > 1 else "")
-            )
-        existing = {r.question_id: r for r in loaded}
-    if resume and os.path.exists(journal_path):
-        # A line torn by a crash does not parse and is skipped.
-        existing.update((r.question_id, r) for r in read_eval_records(journal_path)[0])
-    if not resume and os.path.exists(records_path):
-        os.remove(records_path)  # so a crash leaves nothing from another run to resume
-    for _, name in _REPORT_FILES:  # a run that ends without a report leaves none from before
-        if os.path.exists(os.path.join(out_dir, name)):
-            os.remove(os.path.join(out_dir, name))
-    # Never silently drop data on resume; carry strays along unchanged.
-    orphans = [r for qid, r in existing.items() if qid not in known]
+    _check_manifest(os.path.join(out_dir, "run_manifest.json"), manifest, resume)
+    # A run that stops early (stop_after, a crash, nothing scorable) leaves no outputs of
+    # an earlier run beside its manifest.
+    for path in [records_path] + [os.path.join(out_dir, name) for _, name in _REPORT_FILES]:
+        if os.path.exists(path):
+            os.remove(path)
 
     # Steps on (record, question text) in STAGES order, cut at stop_after. Each step calls
     # its function once per record through this module's global name, looked up at call
@@ -164,31 +145,18 @@ def run_evaluation(
         (Status.SPLIT, lambda r, _: check_response(r, checker, check_template)),
     )[: STAGES.index(stop_after or "score")]
 
-    journal_lock = threading.Lock()
-
     def advance(question: Question) -> EvalRecord:
-        record = existing.get(question.question_id)
-        if record is None:
-            record = generate_response(question, generator, gen_config, response_template)
+        record = generate_response(question, generator, gen_config, response_template)
         for status, step in steps:
             if record.status is status:
                 step(record, question.text)
-        line = dumps_compact(record.to_dict()) + "\n"
-        with journal_lock:
-            journal.write(line)
-            journal.flush()
         return record
 
-    with open(journal_path, "a" if resume else "w", encoding="utf-8") as journal:
-        journal.write("\n")  # ends a torn last line; blank lines are skipped
-        current = run_tasks(questions, advance, concurrency)
-    records = current + orphans
+    records = run_tasks(questions, advance, concurrency)
     try:
-        # Orphans stay out of the report.
-        report = dahl_score(current) if stop_after in (None, "score") else None
+        report = dahl_score(records) if stop_after in (None, "score") else None
     finally:
         write_records(records, records_path)
-        os.remove(journal_path)
     if report is not None:
         write_report_files(report, out_dir)
     return EvaluationResult(records, report, records_path)

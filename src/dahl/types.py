@@ -211,8 +211,8 @@ class Question:
         return cls(
             question_id=_required_text(d, "question_id"),
             text=_required_text(d, "text"),
-            category=str(d["category"]),
-            source_doc_id=str(d["source_doc_id"]),
+            category=_required_text(d, "category"),
+            source_doc_id=_required_text(d, "source_doc_id"),
             filter_trace=[str(r) for r in d.get("filter_trace", [])],
             review_override=ReviewOverride(d.get("review_override", "none")),
         )
@@ -282,8 +282,8 @@ class EvalRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
         return cls(
-            question_id=str(d["question_id"]),
-            model_id=str(d["model_id"]),
+            question_id=_required_text(d, "question_id"),
+            model_id=_required_text(d, "model_id"),
             gen_config=GenConfig.from_dict(d["gen_config"]),
             raw_response=str(d.get("raw_response", "")),
             preprocessed=d.get("preprocessed"),

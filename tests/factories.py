@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+
+from dahl.backends import CachedBackend
 from dahl.types import AtomicUnit, EvalRecord, GenConfig, Question, Status, Verdict
 
 
@@ -41,3 +44,14 @@ def make_record(
 def make_question(qid="q-1", text="What is the first-line treatment for gout?",
                   category="Medicine", doc="d-1"):
     return Question(question_id=qid, text=text, category=category, source_doc_id=doc)
+
+
+@contextlib.contextmanager
+def cached(cache_dir, *backends):
+    """Each backend behind a CachedBackend over one cache_dir; all closed on exit.
+
+    Over the mocks of a (generator, splitter, checker) triple, a rerun
+    into cache_dir makes only the calls no earlier run committed.
+    """
+    with contextlib.ExitStack() as stack:
+        yield tuple(stack.enter_context(CachedBackend(b, str(cache_dir))) for b in backends)

@@ -346,6 +346,57 @@ def test_an_http_checker_keeps_to_its_cap_and_writes_the_same_bytes_with_or_with
     assert len(outputs) == 1
 
 
+class _GeneratorEndpoint:
+    """Stands in for requests.Session.post as the mock generator; raises from post dies_at on."""
+
+    def __init__(self, dies_at=None):
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.dies_at = dies_at
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            self.calls += 1
+            if self.dies_at is not None and self.calls >= self.dies_at:
+                raise RuntimeError("generator process died")
+        request = SimpleNamespace(
+            user_prompt=json["messages"][-1]["content"],
+            gen_config=SimpleNamespace(temperature=json["temperature"]),
+        )
+        payload = {"choices": [{"message": {"content": mocks.generator_reply(request)}}]}
+        return SimpleNamespace(status_code=200, json=lambda: payload)
+
+
+def test_an_http_run_caches_under_out_by_default_and_resume_posts_only_the_rest(
+    tmp_path, capsys, monkeypatch, questions_path
+):
+    config = tmp_path / "http-generator.yaml"
+    generator = "{kind: http, model: g, endpoint: 'http://gen.test/v1/chat'}"
+    config.write_text(BACKENDS.replace("{kind: mock, model: g}", generator), encoding="utf-8")
+    argv = ["evaluate", "--config", str(config), "--questions", questions_path]
+    argv += ["--concurrency", "2"]
+    straight, out = tmp_path / "straight", tmp_path / "out"
+
+    endpoint = _GeneratorEndpoint()
+    monkeypatch.setattr(requests.Session, "post", endpoint.post)
+    code, _, stderr = run_cli(capsys, argv + ["--out", str(straight)])
+    assert code == 0, stderr
+    assert endpoint.calls == 12
+
+    monkeypatch.setattr(requests.Session, "post", _GeneratorEndpoint(dies_at=5).post)
+    with pytest.raises(RuntimeError, match="generator process died"):
+        main(argv + ["--out", str(out)])
+    assert sorted(os.listdir(out)) == ["cache.sqlite", "run_manifest.json"]
+
+    endpoint = _GeneratorEndpoint()
+    monkeypatch.setattr(requests.Session, "post", endpoint.post)
+    code, _, stderr = run_cli(capsys, argv + ["--out", str(out), "--resume"])
+    assert code == 0, stderr
+    assert endpoint.calls == 12 - 4
+    for name in ("records.jsonl", "report.json", "report.csv", "report.md"):
+        assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+
 def test_cli_requires_a_command(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main([])

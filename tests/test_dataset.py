@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import threading
@@ -29,9 +30,10 @@ from dahl.dataset import (
     resolve_category_reply,
 )
 from dahl.defaults import fill_template, load_category_set
+from dahl.records import write_records
 from dahl.types import CategorySet, Question, ReviewOverride, SourceDocument
 
-from factories import make_question
+from factories import cached, make_question
 from oracles import resolve_category_reply_oracle
 
 RULES = load_filter_rules()
@@ -715,3 +717,45 @@ def test_build_dataset_over_mock_models_is_the_same_at_any_concurrency():
     assert failures[0] == "blank: document 'blank' has an empty body"
     assert len(failures) == 7
     assert all(f.endswith(": categorizer failed: categorizer refused") for f in failures[1:])
+
+
+def test_a_build_killed_after_k_calls_rebuilds_the_same_bytes_repeating_only_the_rest(tmp_path):
+    calls = itertools.count(1)
+
+    def dying(request):
+        if next(calls) >= 6:
+            raise RuntimeError("generator process died")
+        return mocks.question_generator_reply(request)
+
+    def build(cache_dir, generator, categorizer):
+        with cached(cache_dir, generator, categorizer) as (generator, categorizer):
+            kept, dropped, report = build_dataset(
+                _mock_corpus(),
+                generator,
+                categorizer,
+                RULES,
+                OverrideList(),
+                CATEGORIES,
+                concurrency=1,  # so no two equal requests are in flight at once and both miss
+            )
+        out = tmp_path / f"{cache_dir.name}.jsonl"
+        write_records(kept + dropped, str(out))
+        return out.read_bytes() + json.dumps(report.to_dict(), sort_keys=True).encode()
+
+    def healthy():
+        return (
+            MockBackend(default=mocks.question_generator_reply),
+            MockBackend(default=mocks.categorizer_reply),
+        )
+
+    straight = healthy()
+    expected = build(tmp_path / "straight", *straight)
+    first_categorizer = MockBackend(default=mocks.categorizer_reply)
+    with pytest.raises(RuntimeError, match="generator process died"):
+        build(tmp_path / "crashed", MockBackend(default=dying), first_categorizer)
+
+    rebuild = healthy()
+    assert build(tmp_path / "crashed", *rebuild) == expected
+    assert rebuild[0].calls == straight[0].calls - 5
+    assert rebuild[1].calls == straight[1].calls - first_categorizer.calls
+    assert first_categorizer.calls > 0

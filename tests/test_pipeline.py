@@ -14,7 +14,7 @@ from dahl.pipeline import PipelineError, run_evaluation, run_temperature_ablatio
 from dahl.score import NoScorableResponsesError
 from dahl.types import GenConfig, Status
 
-from factories import make_question
+from factories import cached, make_question
 
 
 QUESTIONS = [
@@ -36,27 +36,31 @@ def _backends(checker_model="mock-model"):
     return generator, splitter, checker
 
 
+def _case_answer(request):
+    case = re.search(r"case (\d+)", request.user_prompt).group(1)
+    return f"Case {case} is treated with rest. Case {case} resolves in days."
+
+
+def _case_backends():
+    """Backends for SIX whose requests all differ, so a response cache merges no two calls."""
+
+    def units(request):
+        case = re.search(r"Case (\d+)", request.user_prompt).group(1)
+        return f"1. Case {case} is treated with rest.\n2. Case {case} resolves in days."
+
+    return MockBackend(default=_case_answer), MockBackend(default=units), MockBackend(default="True")
+
+
 def _dying_generator(k):
-    """A generator that raises RuntimeError from its k-th call on."""
+    """A generator for SIX that raises RuntimeError from its k-th call on."""
     calls = itertools.count(1)
 
     def reply(request):
         if next(calls) >= k:
             raise RuntimeError("generator process died")
-        return ANSWER
+        return _case_answer(request)
 
     return MockBackend(default=reply)
-
-
-def _journaled(out_dir):
-    """Question ids of the journal lines that parse."""
-    ids = set()
-    for line in (out_dir / "records.journal.jsonl").read_text(encoding="utf-8").splitlines():
-        try:
-            ids.add(json.loads(line)["question_id"])
-        except ValueError:
-            pass
-    return ids
 
 
 def _same_outputs(a, b):
@@ -69,22 +73,18 @@ def _run(out_dir, questions, generator, splitter, checker, gen_config=GenConfig(
     )
 
 
-def test_resume_writes_orphans_back_unchanged_and_never_advances_them(tmp_path):
-    backends = _backends()
-    _run(tmp_path, QUESTIONS, *backends, stop_after="preprocess")
-    lines = (tmp_path / "records.jsonl").read_text(encoding="utf-8").splitlines()
-    orphan_line = next(line for line in lines if '"q-3"' in line)
+def test_resume_over_fewer_questions_writes_records_for_those_questions_only(tmp_path):
+    _run(tmp_path / "straight", QUESTIONS[::2], *_backends())
+    out = tmp_path / "out"
+    _run(out, QUESTIONS, *_backends(), stop_after="preprocess")
 
     generator, splitter, checker = _backends()
-    result = _run(tmp_path, QUESTIONS[:2], generator, splitter, checker, resume=True)
+    result = _run(out, QUESTIONS[::2], generator, splitter, checker, resume=True)
 
-    assert generator.calls == 0
-    assert splitter.calls == 2  # q-1 and q-2 only
-    assert checker.calls == 4  # two units each for q-1 and q-2
+    assert [r.question_id for r in result.records] == ["q-1", "q-3"]
+    assert (generator.calls, splitter.calls, checker.calls) == (2, 2, 4)
     assert result.report is not None and result.report.n_scored == 2
-    lines = (tmp_path / "records.jsonl").read_text(encoding="utf-8").splitlines()
-    assert lines[-1] == orphan_line
-    assert [r.status for r in result.records[:2]] == [Status.SCORED, Status.SCORED]
+    assert _same_outputs(out, tmp_path / "straight")
 
 
 class _Response:
@@ -131,59 +131,61 @@ def test_transport_error_fails_the_record_and_the_run_completes(tmp_path):
     assert result.report is not None and result.report.n_scored == 2
 
 
-def test_crash_keeps_finished_records_and_resume_repeats_only_the_rest(tmp_path):
-    _run(tmp_path / "straight", SIX, *_backends())
+def test_crash_keeps_finished_replies_and_resume_repeats_only_the_rest(tmp_path):
+    _run(tmp_path / "straight", SIX, *_case_backends())
     out = tmp_path / "out"
-    _, splitter, checker = _backends()
+    _, splitter, checker = _case_backends()
 
-    with pytest.raises(RuntimeError, match="generator process died"):
-        _run(out, SIX, _dying_generator(3), splitter, checker, concurrency=1)
+    with cached(out, _dying_generator(3), splitter, checker) as backends:
+        with pytest.raises(RuntimeError, match="generator process died"):
+            _run(out, SIX, *backends, concurrency=1)
 
     assert not (out / "records.jsonl").exists()
-    assert _journaled(out) == {"q-0", "q-1"}
-    generator, splitter, checker = _backends()
-    _run(out, SIX, generator, splitter, checker, resume=True)
+    generator, splitter, checker = _case_backends()
+    with cached(out, generator, splitter, checker) as backends:
+        _run(out, SIX, *backends, resume=True)
     assert (generator.calls, splitter.calls, checker.calls) == (4, 4, 8)
-    assert _same_outputs(out, tmp_path / "straight")
-    assert not (out / "records.journal.jsonl").exists()
-
-
-def test_torn_journal_line_is_skipped_and_its_question_redone(tmp_path):
-    _run(tmp_path / "straight", SIX, *_backends())
-    out = tmp_path / "out"
-    journal = out / "records.journal.jsonl"
-    _, splitter, checker = _backends()
-    with pytest.raises(RuntimeError):
-        _run(out, SIX, _dying_generator(2), splitter, checker, concurrency=1)
-    assert _journaled(out) == {"q-0"}
-    journal.write_bytes(journal.read_bytes()[:-20])  # a crash mid-line
-
-    # q-0 is redone and appended after the torn line, then the run dies
-    # again; its new line must survive.
-    with pytest.raises(RuntimeError):
-        _run(out, SIX, _dying_generator(2), splitter, checker, resume=True, concurrency=1)
-    assert _journaled(out) == {"q-0"}
-    generator, splitter, checker = _backends()
-    _run(out, SIX, generator, splitter, checker, resume=True)
-    assert generator.calls == 5
     assert _same_outputs(out, tmp_path / "straight")
 
 
 def test_fresh_run_that_crashes_leaves_no_older_records_to_resume(tmp_path):
-    _run(tmp_path, SIX, *_backends())
+    _run(tmp_path, SIX, *_case_backends())
     hot = GenConfig(temperature=0.9)
-    _, splitter, checker = _backends()
-    with pytest.raises(RuntimeError):
-        _run(tmp_path, SIX, _dying_generator(3), splitter, checker, hot, concurrency=1)
+    _, splitter, checker = _case_backends()
+    with cached(tmp_path, _dying_generator(3), splitter, checker) as backends:
+        with pytest.raises(RuntimeError):
+            _run(tmp_path, SIX, *backends, hot, concurrency=1)
+    assert not (tmp_path / "records.jsonl").exists()
 
-    generator, splitter, checker = _backends()
-    result = _run(tmp_path, SIX, generator, splitter, checker, hot, resume=True)
+    generator, splitter, checker = _case_backends()
+    with cached(tmp_path, generator, splitter, checker) as backends:
+        result = _run(tmp_path, SIX, *backends, hot, resume=True)
 
     assert generator.calls == 4
     assert {r.gen_config.temperature for r in result.records} == {0.9}
 
 
-def test_run_with_nothing_scorable_still_writes_records_and_drops_journal(tmp_path):
+def test_a_record_failed_by_its_generator_is_retried_on_resume(tmp_path):
+    def refuse_case_2(request):
+        if "case 2" in request.user_prompt:
+            raise PermanentBackendError("generator refused")
+        return _case_answer(request)
+
+    _, splitter, checker = _case_backends()
+    with cached(tmp_path, MockBackend(default=refuse_case_2), splitter, checker) as backends:
+        first = _run(tmp_path, SIX, *backends)
+    assert [r.question_id for r in first.records if r.status is Status.FAILED] == ["q-2"]
+
+    generator, splitter, checker = _case_backends()
+    with cached(tmp_path, generator, splitter, checker) as backends:
+        result = _run(tmp_path, SIX, *backends, resume=True)
+
+    assert (generator.calls, splitter.calls, checker.calls) == (1, 1, 2)  # q-2 only
+    assert [r.status for r in result.records] == [Status.SCORED] * 6
+    assert result.report is not None and result.report.n_scored == 6
+
+
+def test_run_with_nothing_scorable_still_writes_records(tmp_path):
     generator, splitter, _ = _backends()
     checker = MockBackend(default="Unknown")
 
@@ -192,7 +194,6 @@ def test_run_with_nothing_scorable_still_writes_records_and_drops_journal(tmp_pa
 
     lines = (tmp_path / "records.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["status"] for line in lines] == ["excluded_unknown"] * 3
-    assert not (tmp_path / "records.journal.jsonl").exists()
     assert not (tmp_path / "report.json").exists()
 
 
@@ -244,26 +245,7 @@ def test_resume_refuses_a_run_checked_by_the_previous_verdict_parser(tmp_path):
         _run(tmp_path, QUESTIONS, *_backends(), resume=True)
 
 
-def test_resume_of_records_without_a_manifest_is_refused_and_of_an_empty_dir_runs(tmp_path):
-    unknown = "run_manifest.json, so the records' settings are unknown"
-    out = tmp_path / "out"
-    _run(out, QUESTIONS, *_backends(checker_model="checker-a"), stop_after="split")
-    (out / "run_manifest.json").unlink()
-    before = (out / "records.jsonl").read_bytes()
-    generator, splitter, checker = _backends(checker_model="checker-b")
-    with pytest.raises(PipelineError, match=unknown):
-        _run(out, QUESTIONS, generator, splitter, checker, resume=True)
-    assert (out / "records.jsonl").read_bytes() == before
-    assert not (out / "run_manifest.json").exists()
-    assert (generator.calls, splitter.calls, checker.calls) == (0, 0, 0)
-
-    crashed = tmp_path / "crashed"  # a journal and no records.jsonl
-    with pytest.raises(RuntimeError):
-        _run(crashed, SIX, _dying_generator(3), *_backends()[1:], concurrency=1)
-    (crashed / "run_manifest.json").unlink()
-    with pytest.raises(PipelineError, match=unknown):
-        _run(crashed, SIX, *_backends(), resume=True)
-
+def test_resume_of_an_empty_dir_runs(tmp_path):
     _run(tmp_path / "straight", QUESTIONS, *_backends())
     _run(tmp_path / "empty", QUESTIONS, *_backends(), resume=True)
     assert _same_outputs(tmp_path / "empty", tmp_path / "straight")

@@ -159,6 +159,7 @@ def test_source_documents_duplicate_and_empty_diagnostics(tmp_path):
 
 _QUESTION = {"question_id": "q1", "text": "What treats gout?", "category": "C", "source_doc_id": "d"}
 _DOCUMENT = {"doc_id": "d1", "title": "Gout", "body": "Gout is treated with rest."}
+_RECORD = make_record(qid="q1").to_dict()
 _ABSENT = object()
 
 
@@ -175,8 +176,21 @@ def _write_lines(path, objs):
         (read_questions, _QUESTION, "text"),
         (read_source_documents, _DOCUMENT, "doc_id"),
         (read_source_documents, _DOCUMENT, "body"),
+        (read_questions, _QUESTION, "category"),
+        (read_questions, _QUESTION, "source_doc_id"),
+        (read_eval_records, _RECORD, "question_id"),
+        (read_eval_records, _RECORD, "model_id"),
     ],
-    ids=["question_id", "text", "doc_id", "body"],
+    ids=[
+        "question_id",
+        "text",
+        "doc_id",
+        "body",
+        "category",
+        "source_doc_id",
+        "record-question_id",
+        "record-model_id",
+    ],
 )
 def test_a_null_or_blank_required_field_is_a_line_diagnostic_not_the_text_none(
     tmp_path, read, good, key, value
