@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backends import Backend, BackendError, close_backend
@@ -217,7 +217,7 @@ def cmd_build_dataset(args) -> int:
     write_records(dropped, os.path.join(args.out, "questions_dropped.jsonl"))
     atomic_write_text(
         os.path.join(args.out, "build_report.json"),
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
+        json.dumps(asdict(report), sort_keys=True, indent=2) + "\n",
     )
     print(
         f"kept {report.n_kept} of {report.n_generated} questions from "
@@ -350,7 +350,7 @@ def cmd_compare_human(args) -> int:
 def cmd_stats_pearson(args) -> int:
     xs, ys = _read_pairs(args.pairs)
     result = pearson(xs, ys)
-    _print_json({**result.to_dict(), "n": len(xs)})
+    _print_json({**asdict(result), "n": len(xs)})
     return 0
 
 
@@ -359,13 +359,13 @@ def cmd_stats_ttest(args) -> int:
     b = _read_numbers(args.b)
     variant = "welch" if args.welch else "student_pooled"
     result = t_test(a, b, variant=variant)
-    _print_json({**result.to_dict(), "variant": variant})
+    _print_json({**asdict(result), "variant": variant})
     return 0
 
 
 def cmd_stats_ftest(args) -> int:
     result = f_test_equal_variance(_read_numbers(args.a), _read_numbers(args.b))
-    _print_json(result.to_dict())
+    _print_json(asdict(result))
     return 0
 
 

@@ -91,15 +91,6 @@ _ENTRY_KEYS = {"kind": str, "model": str, **_MOCK_KEYS, **_HTTP_KEYS, **_RETRY_K
 _KIND_KEYS = {"mock": _MOCK_KEYS, "http": {**_HTTP_KEYS, **_RETRY_KEYS}}
 # A backend entry: a mock, built at load time, or the spec of an HTTP stack.
 Entry = Union[MockBackend, BackendSpec]
-# The placeholder that carries what one call of each template is about. Without it every
-# call sends the same prompt; {title}, {n} and {labels} may be hard-coded instead.
-_PROMPT_SUBJECTS = {
-    "question_generation": "{body}",
-    "response_generation": "{question}",
-    "splitter": "{response}",
-    "checker": "{unit}",
-    "categorizer": "{question}",
-}
 
 
 @dataclass
@@ -188,9 +179,9 @@ def _read_prompts(files: Dict[str, str]) -> Dict[str, str]:
     """Every template, from its file or the packaged copy, each carrying its subject."""
     prompts = {}
     for name in defaults.PROMPT_NAMES:
-        subject = _PROMPT_SUBJECTS[name]
         prompts[name] = defaults.load_prompt(name, files.get(name))
-        if subject not in prompts[name]:
+        subject = defaults.missing_subject(name, prompts[name])
+        if subject:
             where = files.get(name, "the packaged template")
             raise ConfigError(f"prompts.{name}: {where} lacks the placeholder {subject}")
     return prompts

@@ -260,19 +260,6 @@ class BuildReport:
     drops_per_rule: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "drops_per_rule": dict(sorted(self.drops_per_rule.items())),
-            "failures": list(self.failures),
-            "n_documents": self.n_documents,
-            "n_dropped_ambiguous": self.n_dropped_ambiguous,
-            "n_dropped_filter": self.n_dropped_filter,
-            "n_forced_drop": self.n_forced_drop,
-            "n_forced_keep": self.n_forced_keep,
-            "n_generated": self.n_generated,
-            "n_kept": self.n_kept,
-        }
-
 
 def build_dataset(
     corpus: Sequence[SourceDocument],
@@ -301,6 +288,13 @@ def build_dataset(
     if len(set(doc_ids)) != len(doc_ids):
         dupes = sorted(i for i, n in Counter(doc_ids).items() if n > 1)
         raise ValueError(f"duplicate doc ids: {dupes}")
+    for name, template in (
+        ("question_generation", question_prompt),
+        ("categorizer", categorizer_prompt),
+    ):
+        subject = defaults.missing_subject(name, template)
+        if subject:
+            raise ValueError(f"{name} prompt lacks the placeholder {subject}")
 
     def build_one(doc: SourceDocument) -> Tuple[List[Question], List[Question], List[str]]:
         try:

@@ -15,13 +15,16 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from .types import CategorySet
 
-PROMPT_NAMES = (
-    "question_generation",
-    "response_generation",
-    "splitter",
-    "checker",
-    "categorizer",
-)
+# The placeholder that carries what one call of each template is about. Without it every
+# call sends the same prompt; {title}, {n} and {labels} may be hard-coded instead.
+PROMPT_SUBJECTS = {
+    "question_generation": "{body}",
+    "response_generation": "{question}",
+    "splitter": "{response}",
+    "checker": "{unit}",
+    "categorizer": "{question}",
+}
+PROMPT_NAMES = tuple(PROMPT_SUBJECTS)
 
 
 @lru_cache(maxsize=None)
@@ -65,6 +68,12 @@ def load_prompt(name: str, path: Optional[str] = None) -> str:
     if name not in PROMPT_NAMES:
         raise ValueError(f"unknown prompt template {name!r}, expected one of {PROMPT_NAMES}")
     return read_file_or_data(path, f"prompts/{name}.txt")
+
+
+def missing_subject(name: str, template: Optional[str]) -> Optional[str]:
+    """The subject placeholder that template lacks, else None (None is the packaged template)."""
+    subject = PROMPT_SUBJECTS[name]
+    return subject if template is not None and subject not in template else None
 
 
 def fill_template(name: str, template: Optional[str], **values: str) -> str:

@@ -116,6 +116,10 @@ def run_evaluation(
         dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise PipelineError(f"duplicate question ids: {dupes}")
     prompts = prompts or {}
+    for name in ("response_generation", "splitter", "checker"):
+        subject = defaults.missing_subject(name, prompts.get(name))
+        if subject:
+            raise PipelineError(f"prompts.{name} lacks the placeholder {subject}")
     response_template = prompts.get("response_generation")
     split_template = prompts.get("splitter")
     check_template = prompts.get("checker")
@@ -201,32 +205,34 @@ def run_temperature_ablation(
             "(pass allow_high_temperatures to override)"
         )
 
-    cells: Dict[str, Tuple[Backend, float]] = {}
+    # Each cell's GenConfig is built here, so an out-of-range temperature is refused before
+    # any cell runs.
+    cells: Dict[str, Tuple[Backend, GenConfig]] = {}
     for generator in generators:
         for temperature in temperatures:
             run_name = f"{_sanitize(generator.model)}_t{temperature:g}"
             if run_name in cells:
-                other, other_temperature = cells[run_name]
+                other, other_config = cells[run_name]
                 raise PipelineError(
-                    f"ablation cells ({other.model!r}, {other_temperature:g}) and "
+                    f"ablation cells ({other.model!r}, {other_config.temperature:g}) and "
                     f"({generator.model!r}, {temperature:g}) would share run directory "
                     f"runs/{run_name}"
                 )
-            cells[run_name] = (generator, temperature)
+            cells[run_name] = (generator, replace(base_gen_config, temperature=temperature))
 
     sample = stratified_sample(questions, fraction, seed)
     if not sample:
         raise PipelineError("stratified sample is empty")
 
     rows: List[dict] = []
-    for run_name, (generator, temperature) in cells.items():
+    for run_name, (generator, gen_config) in cells.items():
         result = run_evaluation(
             sample,
             os.path.join(out_dir, "runs", run_name),
             generator,
             splitter,
             checker,
-            replace(base_gen_config, temperature=temperature),
+            gen_config,
             prompts=prompts,
             resume=resume,
             concurrency=concurrency,
@@ -235,7 +241,7 @@ def run_temperature_ablation(
         rows.append(
             {
                 "model": generator.model,
-                "temperature": temperature,
+                "temperature": gen_config.temperature,
                 "dahl_score": result.report.dahl_score,
                 "n_scored": result.report.n_scored,
             }

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 from collections import Counter
+from dataclasses import asdict
 from typing import Sequence
 
 from .types import CategoryScore, EvalRecord, ScoreReport, Status, Verdict
@@ -49,11 +50,11 @@ def dahl_score(records: Sequence[EvalRecord]) -> ScoreReport:
     """Aggregate one model run into a ScoreReport, in one pass.
 
     Checked records are promoted to scored in place once the report is
-    built, so a call that raises promotes nothing (rescoring already
-    scored records is a no-op, which is what makes the score stage
-    idempotent under resume). Every record must belong to one model and
-    answer a distinct question, and every scorable record needs a
-    category. Categories with no scorable records are absent.
+    built, so a call that raises promotes nothing. Scored records count
+    as they are, because `dahl score` rereads a finished records.jsonl,
+    whose records its run already promoted. Every record must belong to
+    one model and answer a distinct question, and every scorable record
+    needs a category. Categories with no scorable records are absent.
     """
     records = list(records)
     _refuse_repeats(records)
@@ -103,7 +104,7 @@ def dahl_score(records: Sequence[EvalRecord]) -> ScoreReport:
 def render_report(report: ScoreReport, fmt: str) -> bytes:
     """Serialize a report as json (lossless), csv, or markdown."""
     if fmt == "json":
-        return (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(asdict(report), sort_keys=True, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         return _render_csv(report)
     if fmt == "markdown":

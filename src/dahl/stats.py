@@ -27,10 +27,6 @@ class TestResult:
     p_two_tailed: float
     df: Union[float, tuple]
 
-    def to_dict(self) -> dict:
-        df = list(self.df) if isinstance(self.df, tuple) else self.df
-        return {"df": df, "p_two_tailed": self.p_two_tailed, "statistic": self.statistic}
-
 
 # ---------------------------------------------------------------------------
 # Special functions

@@ -1,9 +1,12 @@
 """Domain types shared by every pipeline stage.
 
 Plain dataclasses plus a few enums. Each type read back from a file
-carries a ``to_dict``/``from_dict`` pair defining its wire shape; a
-report is only written, so it has ``to_dict`` alone. JSON is always
-written with alphabetically sorted keys so files diff cleanly.
+carries a hand-written ``to_dict``/``from_dict`` pair: ``to_dict``
+states the shape ``from_dict`` reads and turns enums into their values.
+A result that is only written (the score report, the build report, a
+test result) has no pair; it is serialized with ``dataclasses.asdict``.
+JSON is always written with alphabetically sorted keys so files diff
+cleanly.
 """
 
 from __future__ import annotations
@@ -25,13 +28,6 @@ class Verdict(enum.Enum):
     TRUE = "True"
     FALSE = "False"
     UNKNOWN = "Unknown"
-
-    @classmethod
-    def from_str(cls, value: str) -> "Verdict":
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(f"not a verdict: {value!r}") from None
 
 
 class Status(enum.Enum):
@@ -90,6 +86,14 @@ def _required_text(d: dict, key: str) -> str:
     if value is None or not str(value).strip():
         raise ValueError(f"{key} must be non-empty")
     return str(value)
+
+
+def _optional_text(d: dict, key: str) -> Optional[str]:
+    """d[key] as text or None; a number, bool, list or object is refused."""
+    value = d.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key} must be text or null")
+    return value
 
 
 @dataclass(frozen=True)
@@ -244,9 +248,9 @@ class AtomicUnit:
         verdict = d.get("verdict")
         return cls(
             index=int(d["index"]),
-            text=str(d["text"]),
-            verdict=None if verdict is None else Verdict.from_str(verdict),
-            checker_reply=d.get("checker_reply"),
+            text=_required_text(d, "text"),
+            verdict=None if verdict is None else Verdict(verdict),
+            checker_reply=_optional_text(d, "checker_reply"),
         )
 
 
@@ -281,17 +285,20 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
+        raw_response = d.get("raw_response", "")
+        if not isinstance(raw_response, str):
+            raise ValueError("raw_response must be text")
         return cls(
             question_id=_required_text(d, "question_id"),
             model_id=_required_text(d, "model_id"),
             gen_config=GenConfig.from_dict(d["gen_config"]),
-            raw_response=str(d.get("raw_response", "")),
-            preprocessed=d.get("preprocessed"),
+            raw_response=raw_response,
+            preprocessed=_optional_text(d, "preprocessed"),
             units=[AtomicUnit.from_dict(u) for u in d.get("units", [])],
             status=Status(d["status"]),
-            category=d.get("category"),
-            finish_reason=d.get("finish_reason"),
-            error=d.get("error"),
+            category=_optional_text(d, "category"),
+            finish_reason=_optional_text(d, "finish_reason"),
+            error=_optional_text(d, "error"),
         )
 
 
@@ -357,9 +364,6 @@ class CategoryScore:
     score: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "score": self.score}
-
 
 @dataclass
 class ScoreReport:
@@ -394,19 +398,3 @@ class ScoreReport:
             + self.n_excluded_mismatch
             + self.n_failed
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "avg_raw_length_chars": self.avg_raw_length_chars,
-            "avg_response_length_chars": self.avg_response_length_chars,
-            "dahl_score": self.dahl_score,
-            "model_id": self.model_id,
-            "model_size": self.model_size,
-            "n_excluded_mismatch": self.n_excluded_mismatch,
-            "n_excluded_noncommittal": self.n_excluded_noncommittal,
-            "n_excluded_unknown": self.n_excluded_unknown,
-            "n_failed": self.n_failed,
-            "n_scored": self.n_scored,
-            "per_category": {label: cs.to_dict() for label, cs in self.per_category.items()},
-            "pooled_unit_score": self.pooled_unit_score,
-        }

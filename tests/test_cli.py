@@ -94,6 +94,31 @@ def test_evaluate_end_to_end(tmp_path, capsys, config_path, questions_path):
     assert report["n_scored"] == payload["n_scored"]
 
 
+def test_evaluate_warns_about_five_bad_question_lines_and_counts_the_rest(
+    tmp_path, capsys, config_path, questions_path
+):
+    with open(questions_path, encoding="utf-8") as fh:
+        good = fh.read().splitlines()
+    lines = []
+    for i, line in enumerate(good):
+        lines.append(line)
+        if i < 7:
+            lines.append("{torn" if i % 2 else "[1, 2]")
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+
+    code, _, stderr = run_cli(
+        capsys, ["evaluate", "--config", config_path, "--questions", str(path), "--out", str(out)]
+    )
+    assert code == 0
+    warnings = stderr.splitlines()
+    assert [w.split(": ")[2] for w in warnings[:5]] == [f"line {n}" for n in (2, 4, 6, 8, 10)]
+    assert warnings[5:] == [f"warning: {path}: +2 more bad lines"]
+    records, _ = read_eval_records(str(out / "records.jsonl"))
+    assert [r.question_id for r in records] == [f"q{i:02d}" for i in range(12)]
+
+
 def test_evaluate_stop_after_then_resume_matches_straight_run(
     tmp_path, capsys, config_path, questions_path
 ):
@@ -427,6 +452,28 @@ def test_score_reaggregates_a_records_file(tmp_path, capsys):
     assert payload["model_id"] == "test-model"
     markdown = (out_dir / "report.md").read_text(encoding="utf-8")
     assert "| 7B |" in markdown
+
+
+def test_score_warns_about_a_record_whose_category_is_a_number_and_scores_the_rest(
+    tmp_path, capsys
+):
+    lines = [
+        make_record(qid="a", verdicts=(Verdict.TRUE, Verdict.FALSE)).to_dict(),
+        {**make_record(qid="b").to_dict(), "category": 5},
+        make_record(qid="c", verdicts=(Verdict.TRUE,)).to_dict(),
+    ]
+    records_path = tmp_path / "records.jsonl"
+    records_path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+    code, stdout, stderr = run_cli(
+        capsys, ["score", "--records", str(records_path), "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 0
+    assert stderr == (
+        f"warning: {records_path}: line 2: cannot parse record: category must be text or null\n"
+    )
+    payload = json.loads(stdout)
+    assert (payload["dahl_score"], payload["n_scored"]) == (0.75, 2)
 
 
 def test_score_empty_records_file_fails(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import re
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -552,6 +553,23 @@ def test_build_dataset_isolates_generator_failures():
     assert report.n_generated == 2
 
 
+@pytest.mark.parametrize(
+    "prompt, subject",
+    [
+        ({"question_prompt": "Write {n} questions about {title}."}, "{body}"),
+        ({"categorizer_prompt": "Pick one of:\n{labels}"}, "{question}"),
+    ],
+    ids=["question_generation", "categorizer"],
+)
+def test_build_dataset_refuses_a_prompt_without_its_subject_before_any_call(prompt, subject):
+    generator, categorizer = _question_backend(), _categorizer_backend()
+    with pytest.raises(ValueError, match=re.escape(f"lacks the placeholder {subject}")):
+        build_dataset(
+            _corpus(), generator, categorizer, RULES, OverrideList(), CATEGORIES, **prompt
+        )
+    assert (generator.calls, categorizer.calls) == (0, 0)
+
+
 def test_build_dataset_categorizer_failure_drops_question():
     corpus = [_corpus()[0]]
     strict_categorizer = MockBackend(rules=[("cystic hygroma", "Surgery")])  # others miss
@@ -578,7 +596,7 @@ def test_build_dataset_is_deterministic():
             OverrideList(),
             CATEGORIES,
         )
-        return [q.to_dict() for q in kept], [q.to_dict() for q in dropped], report.to_dict()
+        return [q.to_dict() for q in kept], [q.to_dict() for q in dropped], asdict(report)
 
     assert run() == run()
 
@@ -694,7 +712,7 @@ def test_build_dataset_over_mock_models_is_the_same_at_any_concurrency():
             questions_per_doc=4,
             concurrency=concurrency,
         )
-        return [q.to_dict() for q in kept], [q.to_dict() for q in dropped], report.to_dict()
+        return [q.to_dict() for q in kept], [q.to_dict() for q in dropped], asdict(report)
 
     serial = run(1)
     assert run(4) == serial
@@ -740,7 +758,7 @@ def test_a_build_killed_after_k_calls_rebuilds_the_same_bytes_repeating_only_the
             )
         out = tmp_path / f"{cache_dir.name}.jsonl"
         write_records(kept + dropped, str(out))
-        return out.read_bytes() + json.dumps(report.to_dict(), sort_keys=True).encode()
+        return out.read_bytes() + json.dumps(asdict(report), sort_keys=True).encode()
 
     def healthy():
         return (

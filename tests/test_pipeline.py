@@ -278,6 +278,70 @@ def test_ablation_refuses_cells_that_share_a_run_directory(tmp_path):
     assert generators[0].calls == 0
 
 
+@pytest.mark.parametrize("bad", [2.5, -0.5])
+def test_ablation_refuses_an_out_of_range_temperature_before_any_cell_runs(tmp_path, bad):
+    generator, splitter, checker = _backends()
+    with pytest.raises(ValueError, match=rf"temperature must be in \[0.0, 2.0\], got {bad}"):
+        run_temperature_ablation(
+            SIX,
+            str(tmp_path),
+            [generator],
+            splitter,
+            checker,
+            GenConfig(),
+            [0.1, bad],
+            fraction=1.0,
+            allow_high_temperatures=True,
+        )
+    assert (generator.calls, splitter.calls, checker.calls) == (0, 0, 0)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "name, template, subject",
+    [
+        ("response_generation", "Answer the question.", "{question}"),
+        ("splitter", "List the claims, one per line.", "{response}"),
+        ("checker", "Is the claim true? Answer True or False.", "{unit}"),
+    ],
+)
+def test_a_prompt_without_its_subject_is_refused_before_any_call(
+    tmp_path, name, template, subject
+):
+    generator, splitter, checker = _backends()
+    refusal = re.escape(f"prompts.{name} lacks the placeholder {subject}")
+    with pytest.raises(PipelineError, match=refusal):
+        _run(tmp_path / "out", SIX, generator, splitter, checker, prompts={name: template})
+    assert (generator.calls, splitter.calls, checker.calls) == (0, 0, 0)
+    assert not (tmp_path / "out").exists()
+
+
+def _ablate(tmp_path, generators=None, **kwargs):
+    _, splitter, checker = _backends()
+    generators = [MockBackend(default=ANSWER)] if generators is None else generators
+    kwargs = {"temperatures": [0.1], "fraction": 1.0, **kwargs}
+    return run_temperature_ablation(
+        SIX, str(tmp_path), generators, splitter, checker, GenConfig(), **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: _run(p, SIX, *_backends(), stop_after="report"), "stop_after must be one of"),
+        (lambda p: _run(p, [], *_backends()), "no questions to evaluate"),
+        (lambda p: _ablate(p, temperatures=[]), "at least one temperature is required"),
+        (lambda p: _ablate(p, generators=[]), "at least one generator backend is required"),
+        (lambda p: _ablate(p, fraction=0.05), "stratified sample is empty"),
+    ],
+    ids=["unknown-stop_after", "no-questions", "no-temperatures", "no-generators", "empty-sample"],
+)
+def test_a_run_refuses_unusable_arguments_before_writing_anything(tmp_path, call, message):
+    with pytest.raises(PipelineError, match=message):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 class _InFlight:
     """Counts model calls in flight over every role whose replies go through it."""
 

@@ -205,6 +205,45 @@ def test_a_null_or_blank_required_field_is_a_line_diagnostic_not_the_text_none(
     assert [str(d) for d in diagnostics] == [f"line 1: cannot parse record: {key} must be non-empty"]
 
 
+@pytest.mark.parametrize(
+    "in_unit, key, value, message",
+    [
+        (False, "category", 5, "category must be text or null"),
+        (False, "preprocessed", 5, "preprocessed must be text or null"),
+        (False, "finish_reason", ["stop"], "finish_reason must be text or null"),
+        (False, "error", {"kind": "timeout"}, "error must be text or null"),
+        (False, "raw_response", None, "raw_response must be text"),
+        (False, "raw_response", 5, "raw_response must be text"),
+        (True, "text", None, "text must be non-empty"),
+        (True, "text", " ", "text must be non-empty"),
+        (True, "checker_reply", True, "checker_reply must be text or null"),
+        (True, "verdict", "maybe", "'maybe' is not a valid Verdict"),
+    ],
+    ids=[
+        "category-number",
+        "preprocessed-number",
+        "finish_reason-list",
+        "error-object",
+        "raw_response-null",
+        "raw_response-number",
+        "unit-text-null",
+        "unit-text-blank",
+        "unit-checker_reply-bool",
+        "unit-verdict-unknown",
+    ],
+)
+def test_a_record_field_of_the_wrong_json_type_is_a_line_diagnostic(
+    tmp_path, in_unit, key, value, message
+):
+    bad = json.loads(json.dumps(_RECORD))
+    (bad["units"][0] if in_unit else bad)[key] = value
+    path = str(tmp_path / "records.jsonl")
+    _write_lines(path, [bad, _RECORD])
+    loaded, diagnostics = read_eval_records(path)
+    assert loaded == [make_record(qid="q1")]
+    assert [str(d) for d in diagnostics] == [f"line 1: cannot parse record: {message}"]
+
+
 def test_a_numeric_id_converts_and_a_null_title_reads_as_empty(tmp_path):
     questions = str(tmp_path / "q.jsonl")
     _write_lines(questions, [{**_QUESTION, "question_id": 5}])

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -311,7 +312,7 @@ def _sample_report():
 def test_json_rendering_round_trips_losslessly():
     report = _sample_report()
     blob = render_report(report, "json")
-    assert json.loads(blob) == report.to_dict()
+    assert json.loads(blob) == asdict(report)
     assert blob.endswith(b"\n")
 
 

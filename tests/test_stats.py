@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dahl.stats import (
-    TestResult,
     apportion_largest_remainder,
     f_test_equal_variance,
     pearson,
@@ -295,11 +294,6 @@ def test_t_test_rejects_unknown_variant_and_tiny_samples():
         t_test([1, 2, 3], [1, 2, 3], variant="paired")
     with pytest.raises(ValueError, match="at least 2"):
         t_test([1.0], [1.0, 2.0])
-
-
-def test_test_result_to_dict_handles_df_pair():
-    assert TestResult(2.0, 0.5, (3.0, 4.0)).to_dict()["df"] == [3.0, 4.0]
-    assert TestResult(2.0, 0.5, 7.0).to_dict()["df"] == 7.0
 
 
 # ---------------------------------------------------------------------------

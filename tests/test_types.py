@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+
 import pytest
 
 from dahl.defaults import load_category_set
@@ -10,22 +12,13 @@ from dahl.types import (
     GenConfig,
     Question,
     ReviewOverride,
+    SourceDocument,
     Status,
     Verdict,
     validate_record,
 )
 
 from factories import make_record, make_units
-
-
-def test_verdict_round_trip():
-    for v in Verdict:
-        assert Verdict.from_str(v.value) is v
-
-
-def test_verdict_rejects_unknown_string():
-    with pytest.raises(ValueError, match="not a verdict"):
-        Verdict.from_str("maybe")
 
 
 def test_gen_config_bounds():
@@ -162,6 +155,48 @@ def test_record_dict_round_trip():
     rec.units[1].checker_reply = "False. Contradicts references."
     clone = EvalRecord.from_dict(rec.to_dict())
     assert clone == rec
+
+
+_HOT = GenConfig(temperature=1.3, max_tokens=77, seed=9)
+_UNIT = AtomicUnit(index=1, text="Colchicine helps.", verdict=Verdict.FALSE, checker_reply="No.")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        _HOT,
+        SourceDocument(doc_id="doc-9", title="Gout", body="Gout is treated with rest."),
+        Question(
+            question_id="abc",
+            text="How is gout treated?",
+            category="Medicine",
+            source_doc_id="doc-9",
+            filter_trace=["report_verb"],
+            review_override=ReviewOverride.FORCE_KEEP,
+        ),
+        _UNIT,
+        EvalRecord(
+            question_id="abc",
+            model_id="m",
+            gen_config=_HOT,
+            raw_response="Rest. Colchicine helps.",
+            preprocessed="Rest. Colchicine helps.",
+            units=[AtomicUnit(index=0, text="Rest helps.", verdict=Verdict.TRUE), _UNIT],
+            status=Status.CHECKED,
+            category="Medicine",
+            finish_reason="length",
+            error="late reply",
+        ),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_a_wire_pair_writes_every_field_and_reads_it_back(value):
+    """A field added to a type read back from a file must reach its to_dict and from_dict."""
+    for f in fields(value):
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        assert getattr(value, f.name) != default, f"{f.name} is at its default"
+    assert sorted(value.to_dict()) == sorted(f.name for f in fields(value))
+    assert type(value).from_dict(value.to_dict()) == value
 
 
 def test_record_requires_identifiers():
