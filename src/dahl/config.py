@@ -18,7 +18,7 @@ import yaml
 from . import defaults, mocks
 from .backends import Backend, BackendSpec, MockBackend, RetryPolicy, build_http_backend
 from .dataset import FilterRule, OverrideList, load_filter_rules, load_overrides
-from .types import CategorySet, GenConfig
+from .types import CategorySet, GenConfig, _float, _int
 
 ROLE_NAMES = ("generator", "splitter", "checker", "categorizer", "question_generator")
 
@@ -54,25 +54,11 @@ def _read(where: str, raw: object, schema: Dict[str, Callable]) -> dict:
     return values
 
 
-def _int(value: object) -> int:
-    """int(), refusing what it would silently change: a bool or a fractional float."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
 def _count(value: object) -> int:
     number = _int(value)
     if number < 1:
         raise ValueError(f"must be >= 1, got {number}")
     return number
-
-
-def _float(value: object) -> float:
-    """float(), refusing a bool, which it would turn into 0.0 or 1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a number: {value!r}")
-    return float(value)
 
 
 _GENERATION_KEYS = {"temperature": _float, "max_tokens": _int, "seed": _int}

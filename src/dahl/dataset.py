@@ -86,11 +86,9 @@ def load_filter_rules(path: Optional[str] = None) -> List[FilterRule]:
     return rules
 
 
-_WHITESPACE_RUN = re.compile(r"\s+")
-
-
 def normalize_question_text(text: str) -> str:
-    return _WHITESPACE_RUN.sub(" ", text).strip()
+    """text with each whitespace run made one space and the ends trimmed."""
+    return " ".join(text.split())
 
 
 def make_question_id(source_doc_id: str, text: str) -> str:

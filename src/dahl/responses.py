@@ -19,13 +19,22 @@ from . import defaults
 from .backends import Backend, BackendError, ChatRequest
 from .types import EvalRecord, GenConfig, Question, Status
 
-_WS = re.compile(r"\s+")
-_QUOTE_FOLD = str.maketrans({"‘": "'", "’": "'", "“": '"', "”": '"'})
 _TERMINAL_PUNCT = ".!?"
 _CLOSERS = "\"')]"
+_CURLY_QUOTES = (("‘", "'"), ("’", "'"), ("“", '"'), ("”", '"'))
+# A whole run of terminal punctuation and the whitespace after it: the
+# only runs that can end a sentence. The lookbehind right after the
+# first character lets a match start only where a run starts. Without
+# it, a run of k characters with no whitespace after it is retried from
+# each of them, k^2 steps in all. Placed first, it would cost a check at
+# every character instead of only at punctuation.
+_CANDIDATE_CUT = re.compile(r"([.!?](?<![.!?]{2})[.!?]*)\s+")
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass sets each field through
+# object.__setattr__, which made building one about four times slower,
+# and nothing hashes or changes a Sentence.
+@dataclass(slots=True)
 class Sentence:
     text: str
     normalized_key: str
@@ -36,9 +45,14 @@ def normalize_sentence_key(text: str) -> str:
 
     Case-folded, whitespace collapsed, curly quotes folded to straight
     ones, trailing terminal punctuation (and closing quotes around it)
-    stripped.
+    stripped. Built from string methods only, each one pass in C:
+    split() breaks at the same code points as the regex \\s, and a
+    quote is replaced only when the text holds one.
     """
-    t = _WS.sub(" ", text.translate(_QUOTE_FOLD)).strip().casefold()
+    for curly, straight in _CURLY_QUOTES:
+        if curly in text:
+            text = text.replace(curly, straight)
+    t = " ".join(text.split()).casefold()
     return t.rstrip(_CLOSERS + _TERMINAL_PUNCT + " ")
 
 
@@ -59,61 +73,47 @@ def _token_before(text: str, end: int) -> str:
     return text[start:end]
 
 
-def _is_boundary(text: str, punct_end: int, abbreviations: FrozenSet[str]) -> bool:
-    """Decide whether the punctuation run ending at punct_end splits here.
-
-    Reads only the whitespace after the run and the word before it, so
-    the cost does not grow with the length of text.
-    """
-    n = len(text)
-    i = punct_end
-    while i < n and text[i].isspace():
-        i += 1
-    if i == punct_end:            # no whitespace after the punctuation
-        return False
-    if i == n:                    # end of text
-        return False
-    nxt = text[i]
-    if nxt in "\"'" and i + 1 < n:
-        nxt = text[i + 1]
-    if not (nxt.isupper() or nxt.isdigit()):
-        return False
-    # Protect known abbreviations ("Dr.", "Fig.", "e.g.") when the run
-    # is a single period.
-    if text[punct_end - 1] == "." and (punct_end < 2 or text[punct_end - 2] != "."):
-        if _token_before(text, punct_end - 1) in abbreviations:
-            return False
-    return True
-
-
 def segment_sentences(text: str) -> List[Sentence]:
     """Split at {. ! ?} followed by whitespace and an uppercase/digit start.
 
     Decimal numbers never split (no whitespace after the dot) and
     abbreviations from the packaged list are protected. Punctuation
     followed by a lowercase letter is treated as sentence-internal,
-    which errs on the side of keeping text together. The cost is linear
-    in the length of text.
+    which errs on the side of keeping text together.
+
+    Cost: one regex scan over text finds every punctuation run followed
+    by whitespace; Python runs only for those candidate cuts, each
+    reading the character after the whitespace and, after a single
+    period, the word before it. So the cost is linear in the length of
+    text, with a Python step per candidate rather than per character.
     """
-    if not text.strip():
+    if not text or text.isspace():
         return []
     abbreviations = defaults.load_abbreviations()
-
-    boundaries = []
-    for match in re.finditer(r"[.!?]+", text):
-        if _is_boundary(text, match.end(), abbreviations):
-            boundaries.append(match.end())
-
+    n = len(text)
     sentences = []
     start = 0
-    for cut in boundaries:
+    for match in _CANDIDATE_CUT.finditer(text):
+        i = match.end()
+        if i == n:
+            break
+        nxt = text[i]
+        if nxt in "\"'" and i + 1 < n:
+            nxt = text[i + 1]
+        if not (nxt.isupper() or nxt.isdigit()):
+            continue
+        # Protect known abbreviations ("Dr.", "Fig.", "e.g.") when the
+        # run is a single period.
+        run_start, cut = match.span(1)
+        if text[run_start:cut] == "." and _token_before(text, run_start) in abbreviations:
+            continue
         piece = text[start:cut].strip()
         if piece:
-            sentences.append(Sentence(text=piece, normalized_key=normalize_sentence_key(piece)))
+            sentences.append(Sentence(piece, normalize_sentence_key(piece)))
         start = cut
     tail = text[start:].strip()
     if tail:
-        sentences.append(Sentence(text=tail, normalized_key=normalize_sentence_key(tail)))
+        sentences.append(Sentence(tail, normalize_sentence_key(tail)))
     return sentences
 
 

@@ -54,6 +54,20 @@ class ReviewOverride(enum.Enum):
     FORCE_DROP = "force_drop"
 
 
+def _int(value: object) -> int:
+    """int(), refusing what it would silently change: a bool or a fractional float."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _float(value: object) -> float:
+    """float(), refusing a bool, which it would turn into 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Decoding parameters attached to every generated response."""
@@ -74,9 +88,9 @@ class GenConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
         return cls(
-            temperature=float(d["temperature"]),
-            max_tokens=int(d["max_tokens"]),
-            seed=None if d.get("seed") is None else int(d["seed"]),
+            temperature=_float(d["temperature"]),
+            max_tokens=_int(d["max_tokens"]),
+            seed=None if d.get("seed") is None else _int(d["seed"]),
         )
 
 
@@ -93,6 +107,14 @@ def _optional_text(d: dict, key: str) -> Optional[str]:
     value = d.get(key)
     if value is not None and not isinstance(value, str):
         raise ValueError(f"{key} must be text or null")
+    return value
+
+
+def _list_of(d: dict, key: str, item_type: type, items: str) -> list:
+    """d[key] as a list of item_type, empty when missing; anything else is refused."""
+    value = d.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(e, item_type) for e in value):
+        raise ValueError(f"{key} must be a list of {items}")
     return value
 
 
@@ -217,7 +239,7 @@ class Question:
             text=_required_text(d, "text"),
             category=_required_text(d, "category"),
             source_doc_id=_required_text(d, "source_doc_id"),
-            filter_trace=[str(r) for r in d.get("filter_trace", [])],
+            filter_trace=list(_list_of(d, "filter_trace", str, "text")),
             review_override=ReviewOverride(d.get("review_override", "none")),
         )
 
@@ -247,7 +269,7 @@ class AtomicUnit:
     def from_dict(cls, d: dict) -> "AtomicUnit":
         verdict = d.get("verdict")
         return cls(
-            index=int(d["index"]),
+            index=_int(d["index"]),
             text=_required_text(d, "text"),
             verdict=None if verdict is None else Verdict(verdict),
             checker_reply=_optional_text(d, "checker_reply"),
@@ -294,7 +316,7 @@ class EvalRecord:
             gen_config=GenConfig.from_dict(d["gen_config"]),
             raw_response=raw_response,
             preprocessed=_optional_text(d, "preprocessed"),
-            units=[AtomicUnit.from_dict(u) for u in d.get("units", [])],
+            units=[AtomicUnit.from_dict(u) for u in _list_of(d, "units", dict, "objects")],
             status=Status(d["status"]),
             category=_optional_text(d, "category"),
             finish_reason=_optional_text(d, "finish_reason"),

@@ -157,6 +157,15 @@ def load_abbreviations_oracle():
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
+# Every code point that the regex \s, str.isspace() and str.split() treat
+# as whitespace; the three agree across all of Unicode.
+WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+CURLY_QUOTES = "\u2018\u2019\u201c\u201d"
+
 _QUOTE_FOLD = str.maketrans({"\u2018": "'", "\u2019": "'", "\u201c": '"', "\u201d": '"'})
 
 

@@ -35,7 +35,7 @@ from dahl.records import write_records
 from dahl.types import CategorySet, Question, ReviewOverride, SourceDocument
 
 from factories import cached, make_question
-from oracles import resolve_category_reply_oracle
+from oracles import WHITESPACE, resolve_category_reply_oracle
 
 RULES = load_filter_rules()
 CATEGORIES = load_category_set()
@@ -240,6 +240,12 @@ def test_question_id_stable_under_whitespace():
     assert a == b
     assert len(a) == 12
     assert make_question_id("d2", "What is migraine?") != a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=WHITESPACE + "a\u00df.", max_size=40))
+def test_question_text_normalization_equals_the_regex_form(text):
+    assert normalize_question_text(text) == re.sub(r"\s+", " ", text).strip()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import sys
 import time
 
 import pytest
@@ -20,7 +22,13 @@ from dahl.backends import MockBackend
 from dahl.types import GenConfig, Status
 
 from factories import make_question, make_record
-from oracles import load_abbreviations_oracle, segment_sentences_oracle
+from oracles import (
+    CURLY_QUOTES,
+    WHITESPACE,
+    _normalize_key_oracle,
+    load_abbreviations_oracle,
+    segment_sentences_oracle,
+)
 
 
 # Cleanup golden case: a response that echoes its prompt, repeats a
@@ -126,6 +134,17 @@ def test_segment_64kb_in_linear_time():
     assert elapsed < 1.0, f"64 KB took {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize(
+    "text", ["." * 65536 + "x", "?!" * 32768 + "x", "a." * 32768], ids=["dots", "?!", "a."]
+)
+def test_segment_64kb_without_whitespace_after_punctuation_in_linear_time(text):
+    started = time.perf_counter()
+    got = segment_sentences(text)
+    elapsed = time.perf_counter() - started
+    assert [s.text for s in got] == [text]
+    assert elapsed < 1.0, f"64 KB took {elapsed:.2f} s"
+
+
 def test_segment_unterminated_tail_is_kept_as_sentence():
     got = segment_sentences("First part done. trailing fragment without end")
     assert got[-1].text == "First part done. trailing fragment without end"
@@ -142,6 +161,19 @@ def test_normalize_key_folds_case_space_quotes_and_terminal_punct():
     assert normalize_sentence_key("“Curly quotes” here!") == '"curly quotes" here'
     assert normalize_sentence_key("Ends with closer.)") == "ends with closer"
     assert normalize_sentence_key("no punct") == "no punct"
+
+
+def test_whitespace_is_the_same_code_points_for_regex_isspace_and_split():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\s", every)) == WHITESPACE
+    assert "".join(c for c in every if c.isspace()) == WHITESPACE
+    assert "".join(every.split()) == "".join(c for c in every if c not in WHITESPACE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=WHITESPACE + CURLY_QUOTES + "\"')].!?a\u00df\u0130\ufb01", max_size=40))
+def test_normalize_key_equals_regex_oracle(text):
+    assert normalize_sentence_key(text) == _normalize_key_oracle(text)
 
 
 def test_dedup_keeps_first_occurrence_only():
@@ -327,8 +359,8 @@ _WORD_PARTS = [".", "..", "_", "x", "3", "\u00e9", "e\u0301", "\u4e2d", "\u0663"
 _LEAD = [" ", "", "\n", "(", '"', "."]
 _GLUE = ["", "", "", "\n", "\n\n", " ", "_"]
 _PUNCT = [".", ".", ".", "..", "...", "!", "?", "?!", ".!", "?."]
-_SPACE = [" ", "", "  ", "\n", "\t", "\r\n", "\u00a0", "\u2003"]
-_OPENER = ["", "", '"', "'", "\u201d", ")"]
+_SPACE = [" ", "", "  ", "\n", "\t", "\r\n", "\u00a0", "\u2003", *WHITESPACE]
+_OPENER = ["", "", '"', "'", "\u201d", ")", *CURLY_QUOTES]
 _START = [
     "A", "A", "7", "a", "\u0663", "\u00b2", "\u00c9", "\u00e9", "\u00df", "\u01c5",
     "\u216b", "_", "\u4e2d", "\u0301", "",

@@ -218,6 +218,9 @@ def test_a_null_or_blank_required_field_is_a_line_diagnostic_not_the_text_none(
         (True, "text", " ", "text must be non-empty"),
         (True, "checker_reply", True, "checker_reply must be text or null"),
         (True, "verdict", "maybe", "'maybe' is not a valid Verdict"),
+        (False, "units", ["x"], "units must be a list of objects"),
+        (True, "index", 0.9, "not an integer: 0.9"),
+        (True, "index", True, "not an integer: True"),
     ],
     ids=[
         "category-number",
@@ -230,6 +233,9 @@ def test_a_null_or_blank_required_field_is_a_line_diagnostic_not_the_text_none(
         "unit-text-blank",
         "unit-checker_reply-bool",
         "unit-verdict-unknown",
+        "units-of-text",
+        "unit-index-fraction",
+        "unit-index-bool",
     ],
 )
 def test_a_record_field_of_the_wrong_json_type_is_a_line_diagnostic(
@@ -242,6 +248,40 @@ def test_a_record_field_of_the_wrong_json_type_is_a_line_diagnostic(
     loaded, diagnostics = read_eval_records(path)
     assert loaded == [make_record(qid="q1")]
     assert [str(d) for d in diagnostics] == [f"line 1: cannot parse record: {message}"]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_tokens", 256.5, "not an integer: 256.5"),
+        ("max_tokens", True, "not an integer: True"),
+        ("seed", 1.5, "not an integer: 1.5"),
+        ("seed", False, "not an integer: False"),
+        ("temperature", True, "not a number: True"),
+    ],
+    ids=["max_tokens-fraction", "max_tokens-bool", "seed-fraction", "seed-bool", "temperature-bool"],
+)
+def test_a_gen_config_number_that_would_silently_change_is_a_line_diagnostic(
+    tmp_path, key, value, message
+):
+    bad = json.loads(json.dumps(_RECORD))
+    bad["gen_config"][key] = value
+    path = str(tmp_path / "records.jsonl")
+    _write_lines(path, [bad, _RECORD])
+    loaded, diagnostics = read_eval_records(path)
+    assert loaded == [make_record(qid="q1")]
+    assert [str(d) for d in diagnostics] == [f"line 1: cannot parse record: {message}"]
+
+
+@pytest.mark.parametrize("value", ["abc", ["report_verb", 5], {"report_verb": 1}])
+def test_a_filter_trace_that_is_not_a_list_of_text_is_a_line_diagnostic(tmp_path, value):
+    path = str(tmp_path / "q.jsonl")
+    _write_lines(path, [{**_QUESTION, "filter_trace": value}, _QUESTION])
+    loaded, diagnostics = read_questions(path)
+    assert loaded == [Question.from_dict(_QUESTION)]
+    assert [str(d) for d in diagnostics] == [
+        "line 1: cannot parse record: filter_trace must be a list of text"
+    ]
 
 
 def test_a_numeric_id_converts_and_a_null_title_reads_as_empty(tmp_path):
