@@ -87,8 +87,6 @@ def segment_sentences(text: str) -> List[Sentence]:
     period, the word before it. So the cost is linear in the length of
     text, with a Python step per candidate rather than per character.
     """
-    if not text or text.isspace():
-        return []
     abbreviations = defaults.load_abbreviations()
     n = len(text)
     sentences = []
@@ -107,9 +105,9 @@ def segment_sentences(text: str) -> List[Sentence]:
         run_start, cut = match.span(1)
         if text[run_start:cut] == "." and _token_before(text, run_start) in abbreviations:
             continue
+        # Never empty: the piece holds the punctuation run.
         piece = text[start:cut].strip()
-        if piece:
-            sentences.append(Sentence(piece, normalize_sentence_key(piece)))
+        sentences.append(Sentence(piece, normalize_sentence_key(piece)))
         start = cut
     tail = text[start:].strip()
     if tail:
