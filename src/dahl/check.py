@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
@@ -44,7 +43,7 @@ def parse_checker_output(raw: str) -> Verdict:
 def check_unit(
     unit_text: str,
     backend: Backend,
-    prompt_template: Optional[str] = None,
+    prompt_template: str = defaults.PROMPTS["checker"],
 ) -> tuple:
     """One checker call for one unit. Returns (verdict, raw reply).
 
@@ -53,7 +52,7 @@ def check_unit(
     """
     if not unit_text.strip():
         raise ValueError("unit text must be non-empty")
-    prompt = defaults.fill_template("checker", prompt_template, unit=unit_text)
+    prompt = defaults.fill_template(prompt_template, unit=unit_text)
     resp = backend.complete(ChatRequest(prompt, CHECKER_GEN))
     return parse_checker_output(resp.text), resp.text
 
@@ -61,7 +60,7 @@ def check_unit(
 def check_response(
     record: EvalRecord,
     backend: Backend,
-    prompt_template: Optional[str] = None,
+    prompt_template: str = defaults.PROMPTS["checker"],
 ) -> EvalRecord:
     """Attach a verdict to every unit of a split record, in place.
 

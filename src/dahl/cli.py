@@ -22,13 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .backends import Backend, BackendError, close_backend
 from .config import RunConfig, load_config
 from .dataset import build_dataset
-from .pipeline import (
-    STAGES,
-    PipelineError,
-    run_evaluation,
-    run_temperature_ablation,
-    write_report_files,
-)
+from .pipeline import STAGES, PipelineError, run_evaluation, run_temperature_ablation
 from .records import (
     _read_objects,
     _read_typed,
@@ -38,9 +32,9 @@ from .records import (
     read_source_documents,
     write_records,
 )
-from .score import dahl_score, precision_by_question
+from .score import dahl_score, precision_by_question, write_report_files
 from .stats import f_test_equal_variance, pearson, stratified_sample, t_test
-from .types import GenConfig
+from .types import GenConfig, _float, _required_text
 
 
 def _warn_diagnostics(diagnostics, path: str, limit: int = 5) -> None:
@@ -94,7 +88,7 @@ def _gen_config(cfg: RunConfig, args) -> GenConfig:
 def _read_numbers(path: str) -> List[float]:
     """One sample: comma/whitespace separated floats, optional header line."""
     values: List[float] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             tokens = [t for t in re.split(r"[,\s]+", line.strip()) if t]
             if not tokens:
@@ -112,22 +106,37 @@ def _read_numbers(path: str) -> List[float]:
 
 
 def _read_pairs(path: str) -> Tuple[List[float], List[float]]:
-    """Paired scores: CSV columns (x,y) or (id,x,y), or JSONL with x/y."""
+    """Paired scores: CSV columns (x,y) or (id,x,y), or JSONL with x/y.
+
+    In a CSV, trailing blank cells are dropped and the first row's cells
+    fix the columns: x and y are its last two, in every row.
+    """
     xs: List[float] = []
     ys: List[float] = []
     if path.endswith(".jsonl"):
-        pairs, diagnostics = _read_typed(path, lambda obj: (float(obj["x"]), float(obj["y"])))
+        pairs, diagnostics = _read_typed(path, lambda obj: (_float(obj["x"]), _float(obj["y"])))
         if diagnostics:
             raise ValueError(f"{path}: {diagnostics[0]}")
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
+        width = 0
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             for row_no, row in enumerate(csv.reader(fh), start=1):
-                row = [c.strip() for c in row if c.strip()]
-                if not row:
+                cells = [c.strip() for c in row]
+                while cells and not cells[-1]:
+                    cells.pop()
+                if not cells:
                     continue
+                width = width or len(cells)
+                if len(cells) > width:
+                    raise ValueError(
+                        f"{path}: row {row_no} has {len(cells)} cells, the first row {width}"
+                    )
+                cells += [""] * (width - len(cells))
+                if "" in cells[-2:]:
+                    raise ValueError(f"{path}: row {row_no} has a blank x or y")
                 try:
-                    x, y = float(row[-2]), float(row[-1])
+                    x, y = float(cells[-2]), float(cells[-1])
                 except (IndexError, ValueError):
                     if row_no == 1:
                         continue  # header
@@ -150,7 +159,7 @@ def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
                 if diag is not None:
                     raise ValueError(f"{path}: {diag}")
                 try:
-                    qid, score = str(obj["question_id"]), float(obj["score"])
+                    qid, score = _required_text(obj, "question_id"), _float(obj["score"])
                 except (KeyError, TypeError, ValueError):
                     raise ValueError(
                         f"{path}: line {line_no}: needs question_id and numeric score"
@@ -159,7 +168,7 @@ def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
                     raise ValueError(f"{path}: line {line_no} repeats question_id {qid!r}")
                 scores[qid] = score
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             for row_no, row in enumerate(csv.reader(fh), start=1):
                 row = [c.strip() for c in row]
                 if not row or not any(row):
@@ -171,6 +180,8 @@ def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
                     if row_no == 1:
                         continue  # header
                     raise ValueError(f"{path}: row {row_no} has non-numeric scores") from None
+                if not qid:
+                    raise ValueError(f"{path}: row {row_no} has no question_id")
                 if not values:
                     raise ValueError(f"{path}: row {row_no} has no score")
                 if len(values) > 1 and not use_mean:

@@ -162,14 +162,13 @@ def _read_backends(raw: object) -> Tuple[Dict[str, Entry], List[Entry]]:
 
 
 def _read_prompts(files: Dict[str, str]) -> Dict[str, str]:
-    """Every template, from its file or the packaged copy, each carrying its subject."""
-    prompts = {}
-    for name in defaults.PROMPT_NAMES:
-        prompts[name] = defaults.load_prompt(name, files.get(name))
+    """Every template: the packaged ones, replaced by those read from files."""
+    prompts = dict(defaults.PROMPTS)
+    for name, path in files.items():
+        prompts[name] = defaults.load_prompt(name, path)
         subject = defaults.missing_subject(name, prompts[name])
         if subject:
-            where = files.get(name, "the packaged template")
-            raise ConfigError(f"prompts.{name}: {where} lacks the placeholder {subject}")
+            raise ConfigError(f"prompts.{name}: {path} lacks the placeholder {subject}")
     return prompts
 
 

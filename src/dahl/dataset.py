@@ -143,7 +143,7 @@ def load_overrides(path: Optional[str] = None) -> OverrideList:
 def generate_questions(
     doc: SourceDocument,
     backend: Backend,
-    prompt_template: Optional[str] = None,
+    prompt_template: str = defaults.PROMPTS["question_generation"],
     questions_per_doc: int = 5,
 ) -> List[str]:
     """Ask the generator for candidate questions about one document.
@@ -154,7 +154,6 @@ def generate_questions(
     if not doc.body.strip():
         raise ValueError(f"document {doc.doc_id!r} has an empty body")
     prompt = defaults.fill_template(
-        "question_generation",
         prompt_template,
         title=doc.title,
         body=doc.body,
@@ -231,14 +230,11 @@ def categorize(
     text: str,
     backend: Backend,
     category_set: CategorySet,
-    prompt_template: Optional[str] = None,
+    prompt_template: str = defaults.PROMPTS["categorizer"],
 ) -> CategorizeResult:
     """One categorizer call for one question text."""
     prompt = defaults.fill_template(
-        "categorizer",
-        prompt_template,
-        question=text,
-        labels=category_set.prompt_block,
+        prompt_template, question=text, labels=category_set.prompt_block
     )
     resp = backend.complete(ChatRequest(prompt, CATEGORIZER_GEN))
     return resolve_category_reply(resp.text, category_set)
@@ -267,8 +263,8 @@ def build_dataset(
     overrides: OverrideList,
     category_set: CategorySet,
     questions_per_doc: int = 5,
-    question_prompt: Optional[str] = None,
-    categorizer_prompt: Optional[str] = None,
+    question_prompt: str = defaults.PROMPTS["question_generation"],
+    categorizer_prompt: str = defaults.PROMPTS["categorizer"],
     concurrency: int = 4,
 ) -> Tuple[List[Question], List[Question], BuildReport]:
     """Run the full construction pipeline over a corpus.

@@ -1,17 +1,22 @@
-"""Loaders for the data files shipped inside the package.
+"""The data files shipped inside the package, read once at import.
 
-Prompt templates, filter rules, categories and review overrides are
-configurable: config.RunConfig resolves them once per run, falling back
-to the packaged copies. Abbreviations and refusal phrases are fixed
-package data, parsed once per process; to port DAHL to another domain,
-edit the files under src/dahl/data/.
+PROMPTS holds the five packaged prompt templates, ABBREVIATIONS the
+abbreviations that never end a sentence, and NONCOMMITTAL_PHRASES the
+refusal phrases that mark a response noncommittal. Prompt templates,
+filter rules, categories and review overrides are configurable:
+config.RunConfig resolves them once per run, falling back to the
+packaged copies, and each function that fills a template takes its
+text, with the packaged one as the default. Abbreviations and refusal
+phrases are fixed; to port DAHL to another domain, edit the files under
+src/dahl/data/.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from typing import FrozenSet, List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Optional
 
 from .types import CategorySet
 
@@ -55,35 +60,29 @@ def load_category_set(path: Optional[str] = None) -> CategorySet:
     return CategorySet(labels=tuple(labels))
 
 
-def load_noncommittal_phrases() -> Tuple[str, ...]:
-    return tuple(parse_line_file(read_data_text("noncommittal_phrases.txt")))
-
-
-@lru_cache(maxsize=None)
-def load_abbreviations() -> FrozenSet[str]:
-    return frozenset(parse_line_file(read_data_text("abbreviations.txt")))
-
-
 def load_prompt(name: str, path: Optional[str] = None) -> str:
     if name not in PROMPT_NAMES:
         raise ValueError(f"unknown prompt template {name!r}, expected one of {PROMPT_NAMES}")
     return read_file_or_data(path, f"prompts/{name}.txt")
 
 
-def missing_subject(name: str, template: Optional[str]) -> Optional[str]:
-    """The subject placeholder that template lacks, else None (None is the packaged template)."""
+def missing_subject(name: str, template: str) -> Optional[str]:
+    """The subject placeholder of prompt name that template lacks, else None."""
     subject = PROMPT_SUBJECTS[name]
-    return subject if template is not None and subject not in template else None
+    return None if subject in template else subject
 
 
-def fill_template(name: str, template: Optional[str], **values: str) -> str:
+def fill_template(template: str, **values: str) -> str:
     """Substitute {name} placeholders literally.
 
-    With no template, the packaged prompt called name is used. Plain
-    replacement instead of str.format so user-edited templates may
+    Plain replacement instead of str.format so user-edited templates may
     contain braces without escaping them.
     """
-    out = template if template is not None else load_prompt(name)
     for key, value in values.items():
-        out = out.replace("{" + key + "}", str(value))
-    return out
+        template = template.replace("{" + key + "}", str(value))
+    return template
+
+
+PROMPTS = MappingProxyType({name: load_prompt(name) for name in PROMPT_NAMES})
+ABBREVIATIONS = frozenset(parse_line_file(read_data_text("abbreviations.txt")))
+NONCOMMITTAL_PHRASES = tuple(parse_line_file(read_data_text("noncommittal_phrases.txt")))

@@ -32,7 +32,7 @@ from .check import VERDICT_PARSER, check_response
 # read_eval_records is not called here; bench/tracing.py hooks it under this module's name.
 from .records import atomic_write_text, read_eval_records, write_records
 from .responses import generate_response, preprocess, render_question_prompt
-from .score import dahl_score, render_report
+from .score import REPORT_FILES, dahl_score, write_report_files
 from .split import split_into_units
 from .stats import stratified_sample
 from .tasks import run_tasks
@@ -50,16 +50,6 @@ class EvaluationResult:
     records: List[EvalRecord]
     report: Optional[ScoreReport]
     records_path: str
-
-
-_REPORT_FILES = (("json", "report.json"), ("csv", "report.csv"), ("markdown", "report.md"))
-
-
-def write_report_files(report: ScoreReport, out_dir: str) -> None:
-    for fmt, name in _REPORT_FILES:
-        atomic_write_text(
-            os.path.join(out_dir, name), render_report(report, fmt).decode("utf-8")
-        )
 
 
 def _check_manifest(path: str, manifest: dict, resume: bool) -> None:
@@ -115,28 +105,27 @@ def run_evaluation(
     if len(set(ids)) != len(ids):
         dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise PipelineError(f"duplicate question ids: {dupes}")
-    prompts = prompts or {}
-    for name in ("response_generation", "splitter", "checker"):
-        subject = defaults.missing_subject(name, prompts.get(name))
-        if subject:
-            raise PipelineError(f"prompts.{name} lacks the placeholder {subject}")
-    response_template = prompts.get("response_generation")
-    split_template = prompts.get("splitter")
-    check_template = prompts.get("checker")
-
-    os.makedirs(out_dir, exist_ok=True)
-    records_path = os.path.join(out_dir, "records.jsonl")
+    prompts = {**defaults.PROMPTS, **(prompts or {})}
     manifest = {"gen_config": gen_config.to_dict(), "verdict_parser": VERDICT_PARSER}
     for role, backend in (("generator", generator), ("splitter", splitter), ("checker", checker)):
         manifest[f"{role}_model"] = backend.model
         manifest[f"{role}_endpoint"] = endpoint_of(backend)
     for name in ("response_generation", "splitter", "checker"):
-        template = defaults.fill_template(name, prompts.get(name))
-        manifest[f"{name}_prompt_sha256"] = hashlib.sha256(template.encode("utf-8")).hexdigest()
+        subject = defaults.missing_subject(name, prompts[name])
+        if subject:
+            raise PipelineError(f"prompts.{name} lacks the placeholder {subject}")
+        digest = hashlib.sha256(prompts[name].encode("utf-8")).hexdigest()
+        manifest[f"{name}_prompt_sha256"] = digest
+    response_template = prompts["response_generation"]
+    split_template = prompts["splitter"]
+    check_template = prompts["checker"]
+
+    os.makedirs(out_dir, exist_ok=True)
+    records_path = os.path.join(out_dir, "records.jsonl")
     _check_manifest(os.path.join(out_dir, "run_manifest.json"), manifest, resume)
     # A run that stops early (stop_after, a crash, nothing scorable) leaves no outputs of
     # an earlier run beside its manifest.
-    for path in [records_path] + [os.path.join(out_dir, name) for _, name in _REPORT_FILES]:
+    for path in [records_path] + [os.path.join(out_dir, name) for name in REPORT_FILES]:
         if os.path.exists(path):
             os.remove(path)
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
@@ -87,7 +86,6 @@ def segment_sentences(text: str) -> List[Sentence]:
     period, the word before it. So the cost is linear in the length of
     text, with a Python step per candidate rather than per character.
     """
-    abbreviations = defaults.load_abbreviations()
     n = len(text)
     sentences = []
     start = 0
@@ -103,7 +101,7 @@ def segment_sentences(text: str) -> List[Sentence]:
         # Protect known abbreviations ("Dr.", "Fig.", "e.g.") when the
         # run is a single period.
         run_start, cut = match.span(1)
-        if text[run_start:cut] == "." and _token_before(text, run_start) in abbreviations:
+        if text[run_start:cut] == "." and _token_before(text, run_start) in defaults.ABBREVIATIONS:
             continue
         # Never empty: the piece holds the punctuation run.
         piece = text[start:cut].strip()
@@ -172,9 +170,7 @@ def drop_incomplete_tail(sentences: Sequence[Sentence]) -> List[Sentence]:
     return list(sentences[:-1])
 
 
-@lru_cache(maxsize=None)
-def _phrase_keys() -> FrozenSet[str]:
-    return frozenset(normalize_sentence_key(p) for p in defaults.load_noncommittal_phrases())
+_PHRASE_KEYS = frozenset(normalize_sentence_key(p) for p in defaults.NONCOMMITTAL_PHRASES)
 
 
 def preprocess(record: EvalRecord, prompt: str) -> EvalRecord:
@@ -191,25 +187,25 @@ def preprocess(record: EvalRecord, prompt: str) -> EvalRecord:
     sentences = drop_incomplete_tail(sentences)
     cleaned = " ".join(s.text for s in sentences)
     record.preprocessed = cleaned
-    if not cleaned or all(s.normalized_key in _phrase_keys() for s in sentences):
+    if not cleaned or all(s.normalized_key in _PHRASE_KEYS for s in sentences):
         record.status = Status.EXCLUDED_NONCOMMITTAL
     else:
         record.status = Status.PREPROCESSED
     return record
 
 
-def render_question_prompt(question_text: str, prompt_template: Optional[str] = None) -> str:
+def render_question_prompt(
+    question_text: str, prompt_template: str = defaults.PROMPTS["response_generation"]
+) -> str:
     """The exact user prompt sent for a question; also used by echo removal."""
-    return defaults.fill_template(
-        "response_generation", prompt_template, question=question_text
-    ).strip()
+    return defaults.fill_template(prompt_template, question=question_text).strip()
 
 
 def generate_response(
     question: Question,
     backend: Backend,
     gen_config: GenConfig,
-    prompt_template: Optional[str] = None,
+    prompt_template: str = defaults.PROMPTS["response_generation"],
 ) -> EvalRecord:
     """Ask the generator backend to answer one question.
 

@@ -1,14 +1,16 @@
-"""Aggregation of verdicts into the DAHL Score and report rendering."""
+"""Aggregation of verdicts into the DAHL Score and the report files."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import os
 from collections import Counter
 from dataclasses import asdict
 from typing import Sequence
 
+from .records import atomic_write_text
 from .types import CategoryScore, EvalRecord, ScoreReport, Status, Verdict
 
 
@@ -101,18 +103,18 @@ def dahl_score(records: Sequence[EvalRecord]) -> ScoreReport:
     )
 
 
-def render_report(report: ScoreReport, fmt: str) -> bytes:
-    """Serialize a report as json (lossless), csv, or markdown."""
-    if fmt == "json":
-        return (json.dumps(asdict(report), sort_keys=True, indent=2) + "\n").encode("utf-8")
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "markdown":
-        return _render_markdown(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+REPORT_FILES = ("report.json", "report.csv", "report.md")
 
 
-def _render_csv(report: ScoreReport) -> bytes:
+def write_report_files(report: ScoreReport, out_dir: str) -> None:
+    """Write the report under out_dir as REPORT_FILES: json (lossless), csv and markdown."""
+    json_text = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    texts = (json_text, _render_csv(report), _render_markdown(report))
+    for name, text in zip(REPORT_FILES, texts):
+        atomic_write_text(os.path.join(out_dir, name), text)
+
+
+def _render_csv(report: ScoreReport) -> str:
     """One row per category plus an ALL row, full-precision scores."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -120,10 +122,10 @@ def _render_csv(report: ScoreReport) -> bytes:
     writer.writerow([report.model_id, "ALL", report.n_scored, repr(report.dahl_score)])
     for label, cs in sorted(report.per_category.items()):
         writer.writerow([report.model_id, label, cs.n, repr(cs.score)])
-    return buf.getvalue().encode("utf-8")
+    return buf.getvalue()
 
 
-def _render_markdown(report: ScoreReport) -> bytes:
+def _render_markdown(report: ScoreReport) -> str:
     """Headline table plus a per-category table, scores to 4 decimals."""
     size = report.model_size if report.model_size else "-"
     lines = [
@@ -148,4 +150,4 @@ def _render_markdown(report: ScoreReport) -> bytes:
         f"mismatch {report.n_excluded_mismatch}, "
         f"failed {report.n_failed}).",
     ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(lines) + "\n"

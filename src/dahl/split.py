@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
@@ -30,7 +30,7 @@ def parse_splitter_output(raw: str) -> List[str]:
 def split_into_units(
     record: EvalRecord,
     backend: Backend,
-    prompt_template: Optional[str] = None,
+    prompt_template: str = defaults.PROMPTS["splitter"],
 ) -> EvalRecord:
     """Attach atomic units to a preprocessed record, in place.
 
@@ -41,7 +41,7 @@ def split_into_units(
         raise ValueError(f"split requires status=preprocessed, got {record.status.value}")
     if not record.preprocessed:
         raise ValueError("split requires non-empty preprocessed text")
-    prompt = defaults.fill_template("splitter", prompt_template, response=record.preprocessed)
+    prompt = defaults.fill_template(prompt_template, response=record.preprocessed)
     try:
         resp = backend.complete(ChatRequest(prompt, SPLITTER_GEN))
         texts = parse_splitter_output(resp.text)

@@ -551,6 +551,51 @@ def test_stats_pearson_from_csv_and_jsonl(tmp_path, capsys):
     assert json.loads(stdout)["statistic"] == pytest.approx(expected.statistic, rel=1e-12)
 
 
+def test_stats_pearson_csv_keeps_cell_positions_and_drops_trailing_blank_cells(
+    tmp_path, capsys
+):
+    csv_path = tmp_path / "pairs.csv"
+    csv_path.write_text("id,x,y,\nq1,0.1,0.2,\nq2,0.4,0.3\nq3,0.9,0.8,,\n\n", encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, ["stats", "pearson", "--pairs", str(csv_path)])
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["n"] == 3
+    assert payload["statistic"] == pytest.approx(
+        pearson([0.1, 0.4, 0.9], [0.2, 0.3, 0.8]).statistic, rel=1e-12
+    )
+
+    csv_path.write_text("x,y\n0.1,0.2\nq2,0.4,0.3\n", encoding="utf-8")
+    code, _, stderr = run_cli(capsys, ["stats", "pearson", "--pairs", str(csv_path)])
+    assert code == 1
+    assert f"{csv_path}: row 3 has 3 cells, the first row 2" in stderr
+
+
+def test_a_byte_order_mark_does_not_hide_the_first_row(tmp_path, capsys):
+    bom = "\ufeff"
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    a_path.write_text(bom + "5.1\n4.9\n5.3\n", encoding="utf-8")
+    b_path.write_text("5.1\n4.9\n5.3\n", encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, ["stats", "ftest", "--a", str(a_path), "--b", str(b_path)])
+    assert code == 0
+    assert json.loads(stdout)["df"] == [2, 2]
+
+    pairs_path = tmp_path / "pairs.csv"
+    pairs_path.write_text(bom + "0.1,0.2\n0.4,0.3\n0.9,0.8\n", encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, ["stats", "pearson", "--pairs", str(pairs_path)])
+    assert code == 0
+    assert json.loads(stdout)["n"] == 3
+
+    records_path = tmp_path / "records.jsonl"
+    _write_precision_records(records_path, {"h1": 0.0, "h2": 0.5, "h3": 1.0})
+    human_path = tmp_path / "human.csv"
+    human_path.write_text(bom + "h1,0.0\nh2,0.5\nh3,1.0\n", encoding="utf-8")
+    code, stdout, _ = run_cli(
+        capsys, ["compare-human", "--records", str(records_path), "--human", str(human_path)]
+    )
+    assert code == 0
+    assert json.loads(stdout)["n"] == 3
+
+
 def test_stats_pearson_bad_file_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("header,line\nalpha,beta\n", encoding="utf-8")
@@ -837,6 +882,7 @@ backends:
 EVALUATE = ["evaluate", "--config", "{dir}/run.yaml", "--questions", "{questions}"]
 EVALUATE += ["--out", "{dir}/out"]
 GOOD_PAIRS = '{"x": 0.1, "y": 0.2}\n{"x": 0.4, "y": 0.3}\n'
+HUMAN_H1 = '{"question_id": "h1", "score": 0.5}\n'
 REPEATED_RECORD = json.dumps(make_record(qid="h1", status=Status.SCORED).to_dict()) + "\n"
 
 
@@ -1076,6 +1122,36 @@ def http_checker(setting):
             ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.csv"],
             "{dir}/human.csv: row 2 has no score",
         ),
+        (
+            {"pairs.csv": "id,x,y\n1,0.1,0.2\n2,,0.5\n3,0.4,0.3\n"},
+            ["stats", "pearson", "--pairs", "{dir}/pairs.csv"],
+            "{dir}/pairs.csv: row 3 has a blank x or y",
+        ),
+        (
+            {"pairs.csv": "id,x,y\n1,0.1,0.2\n2,0.5,\n3,0.4,0.3\n"},
+            ["stats", "pearson", "--pairs", "{dir}/pairs.csv"],
+            "{dir}/pairs.csv: row 3 has a blank x or y",
+        ),
+        (
+            {"pairs.jsonl": GOOD_PAIRS + '{"x": true, "y": 0.3}\n'},
+            ["stats", "pearson", "--pairs", "{dir}/pairs.jsonl"],
+            "{dir}/pairs.jsonl: line 3: cannot parse record: not a number: True",
+        ),
+        (
+            {"human.jsonl": HUMAN_H1 + '{"question_id": "h2", "score": true}\n'},
+            ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.jsonl"],
+            "{dir}/human.jsonl: line 2: needs question_id and numeric score",
+        ),
+        (
+            {"human.jsonl": HUMAN_H1 + '{"question_id": null, "score": 1}\n'},
+            ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.jsonl"],
+            "{dir}/human.jsonl: line 2: needs question_id and numeric score",
+        ),
+        (
+            {"human.csv": "question_id,score\nh1,0.5\n,1.0\n"},
+            ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.csv"],
+            "{dir}/human.csv: row 3 has no question_id",
+        ),
     ],
     ids=[
         "seed-not-int",
@@ -1120,6 +1196,12 @@ def http_checker(setting):
         "ttest-no-numbers",
         "pearson-header-only",
         "compare-human-row-without-score",
+        "pearson-blank-x",
+        "pearson-blank-y",
+        "pearson-bool-x",
+        "compare-human-bool-score",
+        "compare-human-null-id",
+        "compare-human-blank-id",
     ],
 )
 def test_a_bad_run_input_fails_with_one_error_naming_where(

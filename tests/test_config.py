@@ -16,7 +16,7 @@ from dahl.backends import (
     close_backend,
 )
 from dahl.config import ConfigError, load_config
-from dahl.defaults import PROMPT_NAMES, load_prompt
+from dahl.defaults import PROMPT_NAMES, PROMPT_SUBJECTS, PROMPTS, load_prompt
 from dahl.types import GenConfig
 
 
@@ -212,6 +212,12 @@ def test_every_packaged_prompt_template_loads_from_a_file(tmp_path):
         lines.append(f"  {name}: {name}.txt")
     cfg = load_config(write_config(tmp_path, BASE + "\n".join(lines) + "\n"))
     assert cfg.prompts == {name: load_prompt(name) for name in PROMPT_NAMES}
+
+
+def test_every_packaged_prompt_carries_its_subject():
+    assert tuple(PROMPTS) == PROMPT_NAMES
+    for name in PROMPT_NAMES:
+        assert PROMPT_SUBJECTS[name] in PROMPTS[name], name
 
 
 def test_relative_paths_resolve_against_config_directory(tmp_path):

@@ -30,7 +30,7 @@ from dahl.dataset import (
     normalize_question_text,
     resolve_category_reply,
 )
-from dahl.defaults import fill_template, load_category_set
+from dahl.defaults import PROMPTS, fill_template, load_category_set
 from dahl.records import write_records
 from dahl.types import CategorySet, Question, ReviewOverride, SourceDocument
 
@@ -438,7 +438,7 @@ def test_categorize_compiles_nothing_and_renders_the_label_list_once(monkeypatch
     old_block = "\n".join(f"- {label}" for label in cats)
     questions = ["Which nerve is cut?"] + [f"Question number {i}?" for i in range(200)]
     assert prompts == [
-        fill_template("categorizer", None, question=q, labels=old_block) for q in questions
+        fill_template(PROMPTS["categorizer"], question=q, labels=old_block) for q in questions
     ]
 
 

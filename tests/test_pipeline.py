@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
 import threading
 import time
+from importlib import resources
 
 import pytest
 import requests
@@ -232,6 +234,30 @@ def test_resume_refuses_a_checker_moved_to_another_endpoint(tmp_path):
     with pytest.raises(PipelineError, match="checker_endpoint was 'http://a.test/v1/chat'"):
         _run(tmp_path, QUESTIONS, generator, splitter, checker, resume=True)
     assert checker.calls == 0
+
+
+def test_manifest_hashes_the_packaged_prompt_files_unless_a_prompt_is_given(tmp_path):
+    def packaged_sha256(name):
+        data = resources.files("dahl.data").joinpath(f"prompts/{name}.txt").read_bytes()
+        return hashlib.sha256(data).hexdigest()
+
+    _run(tmp_path / "packaged", QUESTIONS, *_backends(), stop_after="generate")
+    manifest = json.loads((tmp_path / "packaged" / "run_manifest.json").read_text("utf-8"))
+    for name in ("response_generation", "splitter", "checker"):
+        assert manifest[f"{name}_prompt_sha256"] == packaged_sha256(name)
+
+    checker_prompt = "Is this true? {unit}"
+    _run(
+        tmp_path / "partial",
+        QUESTIONS,
+        *_backends(),
+        prompts={"checker": checker_prompt},
+        stop_after="generate",
+    )
+    manifest = json.loads((tmp_path / "partial" / "run_manifest.json").read_text("utf-8"))
+    assert manifest["checker_prompt_sha256"] == hashlib.sha256(checker_prompt.encode()).hexdigest()
+    for name in ("response_generation", "splitter"):
+        assert manifest[f"{name}_prompt_sha256"] == packaged_sha256(name)
 
 
 def test_resume_refuses_a_run_checked_by_the_previous_verdict_parser(tmp_path):

@@ -9,11 +9,12 @@ from dataclasses import asdict
 import pytest
 
 from dahl.score import (
+    REPORT_FILES,
     NoScorableResponsesError,
     dahl_score,
     precision_by_question,
-    render_report,
     response_precision,
+    write_report_files,
 )
 from dahl.types import CategoryScore, ScoreReport, Status, Verdict
 
@@ -309,32 +310,37 @@ def _sample_report():
     )
 
 
-def test_json_rendering_round_trips_losslessly():
+def _written(report, tmp_path, name):
+    write_report_files(report, str(tmp_path))
+    return (tmp_path / name).read_text(encoding="utf-8")
+
+
+def test_report_files_are_exactly_the_named_ones(tmp_path):
+    write_report_files(_sample_report(), str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(REPORT_FILES)
+
+
+def test_json_rendering_round_trips_losslessly(tmp_path):
     report = _sample_report()
-    blob = render_report(report, "json")
+    blob = _written(report, tmp_path, "report.json")
     assert json.loads(blob) == asdict(report)
-    assert blob.endswith(b"\n")
+    assert blob.endswith("\n")
 
 
-def test_csv_rendering_layout_and_precision():
+def test_csv_rendering_layout_and_precision(tmp_path):
     report = _sample_report()
     report.dahl_score = 2321 * 0.9365 / 2321  # something with long repr
-    rows = list(csv.reader(io.StringIO(render_report(report, "csv").decode("utf-8"))))
+    rows = list(csv.reader(io.StringIO(_written(report, tmp_path, "report.csv"))))
     assert rows[0] == ["model", "category", "n", "score"]
     assert rows[1][:3] == ["gpt-4o", "ALL", "2321"]
     assert float(rows[1][3]) == report.dahl_score  # full precision survives
     assert [r[1] for r in rows[2:]] == ["Medicine", "Surgery"]
 
 
-def test_markdown_rendering_shows_headline_numbers():
-    text = render_report(_sample_report(), "markdown").decode("utf-8")
+def test_markdown_rendering_shows_headline_numbers(tmp_path):
+    text = _written(_sample_report(), tmp_path, "report.md")
     lines = text.splitlines()
     assert lines[0] == "| Model | Size | Avg. Length | DAHL Score |"
     assert "| gpt-4o | - | 935 | 0.9365 |" in lines
     assert "| Medicine | 611 | 0.9322 |" in text
     assert "Scored 2321 of 2385 responses" in text
-
-
-def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError, match="unknown report format"):
-        render_report(_sample_report(), "xml")
