@@ -12,6 +12,9 @@ Three layers, composable from the inside out:
 
 MockBackend, a deterministic offline stand-in, wraps nothing.
 
+HttpBackend imports requests and CachedBackend imports sqlite3 when
+they are built, so a run without them loads neither.
+
 Auth tokens come only from environment variables named in the
 BackendSpec; they never appear in config files or on disk.
 """
@@ -21,17 +24,17 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import sqlite3
 import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, Tuple, Union
-
-import requests
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, Tuple, Union
 
 from .records import dumps_compact
-from .types import GenConfig
+from .types import GenConfig, _utf8_text
+
+if TYPE_CHECKING:  # loaded by HttpBackend itself, so an offline run never imports it
+    import requests
 
 
 class BackendError(Exception):
@@ -120,14 +123,6 @@ class Backend(Protocol):
         ...
 
 
-_TRANSIENT_TRANSPORT_ERRORS = (
-    requests.Timeout,
-    requests.ConnectionError,
-    requests.exceptions.ChunkedEncodingError,
-    requests.exceptions.ContentDecodingError,
-)
-
-
 def _normalize_finish_reason(raw: Optional[str]) -> str:
     if raw in ("stop", "length"):
         return raw
@@ -142,7 +137,9 @@ class HttpBackend:
     for tests. 429 and 5xx responses, timeouts, connection drops, and
     bodies cut off or garbled in transit are retried with exponential
     backoff and jitter; other 4xx and any other transport error fail
-    immediately. Every failure surfaces as a BackendError.
+    immediately. Every failure surfaces as a BackendError, including
+    a reply whose text UTF-8 cannot encode (an unpaired surrogate escape
+    such as \\ud800 in the JSON), which would fail every later write.
     """
 
     def __init__(
@@ -152,6 +149,8 @@ class HttpBackend:
         sleeper: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ) -> None:
+        import requests
+
         self.spec = spec
         self.backend_id = spec.backend_id
         self.model = spec.model
@@ -168,6 +167,13 @@ class HttpBackend:
         self._session = session if session is not None else requests.Session()
         self._sleep = sleeper
         self._rng = rng if rng is not None else random.Random()
+        self._transient_errors = (
+            requests.Timeout,
+            requests.ConnectionError,
+            requests.exceptions.ChunkedEncodingError,
+            requests.exceptions.ContentDecodingError,
+        )
+        self._request_error = requests.RequestException
 
     def _body(self, req: ChatRequest) -> dict:
         body = {
@@ -193,6 +199,10 @@ class HttpBackend:
             raise PermanentBackendError(
                 f"backend {self.backend_id}: completion content is not a string"
             )
+        try:
+            _utf8_text("completion content", text)
+        except ValueError as exc:
+            raise PermanentBackendError(f"backend {self.backend_id}: {exc}") from None
         return text, finish
 
     def _backoff(self, attempt: int) -> float:
@@ -210,9 +220,9 @@ class HttpBackend:
                 resp = self._session.post(
                     self.endpoint, json=body, headers=self._headers, timeout=self.spec.timeout_s
                 )
-            except _TRANSIENT_TRANSPORT_ERRORS as exc:
+            except self._transient_errors as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
-            except requests.RequestException as exc:
+            except self._request_error as exc:
                 raise PermanentBackendError(
                     f"backend {self.backend_id}: {type(exc).__name__}: {exc}"
                 ) from exc
@@ -347,6 +357,8 @@ class CachedBackend:
     """
 
     def __init__(self, inner: Backend, cache_dir: str) -> None:
+        import sqlite3
+
         self._inner = inner
         self.backend_id = inner.backend_id
         self.model = inner.model

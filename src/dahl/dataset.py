@@ -132,7 +132,7 @@ def load_overrides(path: Optional[str] = None) -> OverrideList:
     from .config import ConfigError, _read  # config imports this module
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"overrides file {path}: {exc}") from None

@@ -1,8 +1,10 @@
 """JSONL persistence: atomic writes, per-line read diagnostics.
 
 One JSON object per line, UTF-8, keys sorted alphabetically. Writers
-go through a temp file in the target directory followed by rename, so
-a crash never leaves a partially written file visible.
+stream through a temp file in the target directory followed by rename,
+so a crash never leaves a partially written file visible and a write
+holds one line in memory, not the file. Readers skip a leading
+byte-order mark.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .types import CategorySet, EvalRecord, Question, SourceDocument, validate_record
 
@@ -31,14 +34,21 @@ def dumps_compact(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via temp-file-then-rename in the same directory."""
+@contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """Open path for writing text; it appears only when the block exits cleanly.
+
+    Writes go to a temp file in the same directory, which is fsynced and
+    renamed over path on a clean exit and unlinked on any exception,
+    leaving an earlier file at path untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # A 64 KB buffer makes one write call per many lines, not one per line.
+        with os.fdopen(fd, "w", encoding="utf-8", buffering=1 << 16) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -50,11 +60,20 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path via temp-file-then-rename in the same directory."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
+
+
 def write_records(records: Iterable, path: str) -> int:
-    """Write records (anything with to_dict) as JSONL. Returns the count."""
-    lines = [dumps_compact(r.to_dict()) for r in records]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
-    return len(lines)
+    """Write records (anything with to_dict) as JSONL, one line at a time. Returns the count."""
+    count = 0
+    with atomic_writer(path) as fh:
+        for record in records:
+            fh.write(dumps_compact(record.to_dict()) + "\n")
+            count += 1
+    return count
 
 
 def _read_objects(lines: Iterable[str]):
@@ -82,7 +101,7 @@ def _read_typed(path: str, parse: Callable, check: Optional[Callable] = None):
     """
     items = []
     diagnostics = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not line 1's data
         for line_no, obj, diag in _read_objects(fh):
             if diag is not None:
                 diagnostics.append(diag)

@@ -94,12 +94,29 @@ class GenConfig:
         )
 
 
+def _utf8_text(key: str, value: str) -> str:
+    """value, refused when UTF-8 cannot encode it.
+
+    JSON lets a string carry an unpaired surrogate escape such as
+    \\ud800; json.loads accepts it, but no file or cache can store it.
+    """
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"{key} holds U+{ord(value[exc.start]):04X} at position {exc.start}, "
+                "an unpaired surrogate that UTF-8 cannot encode"
+            ) from None
+    return value
+
+
 def _required_text(d: dict, key: str) -> str:
     """d[key] as text; a missing, null or blank value is refused, a number converts."""
     value = d.get(key)
     if value is None or not str(value).strip():
         raise ValueError(f"{key} must be non-empty")
-    return str(value)
+    return _utf8_text(key, str(value))
 
 
 def _optional_text(d: dict, key: str) -> Optional[str]:
@@ -107,7 +124,7 @@ def _optional_text(d: dict, key: str) -> Optional[str]:
     value = d.get(key)
     if value is not None and not isinstance(value, str):
         raise ValueError(f"{key} must be text or null")
-    return value
+    return value if value is None else _utf8_text(key, value)
 
 
 def _list_of(d: dict, key: str, item_type: type, items: str) -> list:
@@ -139,7 +156,7 @@ class SourceDocument:
         title = d.get("title")
         return cls(
             doc_id=_required_text(d, "doc_id"),
-            title="" if title is None else str(title),
+            title="" if title is None else _utf8_text("title", str(title)),
             body=_required_text(d, "body"),
         )
 
@@ -239,7 +256,9 @@ class Question:
             text=_required_text(d, "text"),
             category=_required_text(d, "category"),
             source_doc_id=_required_text(d, "source_doc_id"),
-            filter_trace=list(_list_of(d, "filter_trace", str, "text")),
+            filter_trace=[
+                _utf8_text("filter_trace", rule) for rule in _list_of(d, "filter_trace", str, "text")
+            ],
             review_override=ReviewOverride(d.get("review_override", "none")),
         )
 
@@ -314,7 +333,7 @@ class EvalRecord:
             question_id=_required_text(d, "question_id"),
             model_id=_required_text(d, "model_id"),
             gen_config=GenConfig.from_dict(d["gen_config"]),
-            raw_response=raw_response,
+            raw_response=_utf8_text("raw_response", raw_response),
             preprocessed=_optional_text(d, "preprocessed"),
             units=[AtomicUnit.from_dict(u) for u in _list_of(d, "units", dict, "objects")],
             status=Status(d["status"]),

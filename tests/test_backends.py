@@ -5,6 +5,7 @@ import os
 import random
 import re
 import sqlite3
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 import requests
 
+import dahl
 from dahl.backends import (
     BackendSpec,
     CachedBackend,
@@ -191,6 +193,18 @@ def test_http_non_string_content_is_permanent():
     backend = HttpBackend(spec(), session=FakeSession([FakeResponse(200, payload)]))
     with pytest.raises(PermanentBackendError, match="not a string"):
         backend.complete(request())
+
+
+def test_http_reply_utf8_cannot_encode_is_permanent_and_never_cached(tmp_path):
+    session = FakeSession(
+        [FakeResponse(200, ok_payload("Gout \ud800 flares.")), FakeResponse(200, ok_payload())]
+    )
+    with CachedBackend(HttpBackend(spec(), session=session), str(tmp_path)) as backend:
+        with pytest.raises(PermanentBackendError, match=r"backend gen: .* holds U\+D800"):
+            backend.complete(request())
+        assert len(session.calls) == 1
+        assert backend.complete(request()).text == "All good."  # nothing cached: calls again
+    assert len(session.calls) == 2
 
 
 def test_unknown_finish_reason_normalizes_to_other():
@@ -497,3 +511,40 @@ def test_build_http_backend_stacks_cache_over_throttle(tmp_path):
     rate_only = build_http_backend(spec(requests_per_second=5.0))
     assert isinstance(rate_only, ThrottledBackend)
     assert not isinstance(rate_only._slots, threading.BoundedSemaphore)
+
+
+def _heavy_modules_after(code):
+    """Which of requests, urllib3 and sqlite3 a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport sys"
+        "\nprint(' '.join(m for m in ('requests', 'urllib3', 'sqlite3') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(dahl.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.split()
+
+
+def test_an_offline_run_loads_neither_the_http_client_nor_sqlite():
+    code = "import dahl.cli, dahl.pipeline, dahl.dataset, dahl.mocks, dahl.score"
+    assert _heavy_modules_after(code) == []
+
+
+def test_each_backend_loads_only_what_it_uses():
+    http = (
+        "from dahl.backends import BackendSpec, HttpBackend\n"
+        "HttpBackend(BackendSpec('gen', 'http://unit.test/v1/chat', 'm'), session=object())"
+    )
+    cached = (
+        "import tempfile\n"
+        "from dahl.backends import CachedBackend, MockBackend\n"
+        "with tempfile.TemporaryDirectory() as d:\n"
+        "    CachedBackend(MockBackend(), d).close()"
+    )
+    assert _heavy_modules_after(http) == ["requests", "urllib3"]
+    assert _heavy_modules_after(cached) == ["sqlite3"]

@@ -49,6 +49,12 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert all(isinstance(v, str) and v for v in cfg.prompts.values())
 
 
+def test_config_with_a_byte_order_mark_reads(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(textwrap.dedent(BASE) + "concurrency: 3\n", encoding="utf-8-sig")
+    assert load_config(str(path)).concurrency == 3
+
+
 def test_generation_block_and_scalars(tmp_path):
     path = write_config(
         tmp_path,

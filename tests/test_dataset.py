@@ -202,6 +202,12 @@ def test_load_overrides_from_json(tmp_path):
     assert load_overrides(None) == OverrideList()
 
 
+def test_overrides_file_with_a_byte_order_mark_reads(tmp_path):
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps({"force_keep": ["qid-1"]}), encoding="utf-8-sig")
+    assert load_overrides(str(path)) == OverrideList(force_keep=frozenset({"qid-1"}))
+
+
 def test_reviewer_can_drop_a_question_the_filter_missed():
     text = (
         "Explain the significance of functional validation in the context of "

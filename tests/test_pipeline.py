@@ -7,6 +7,7 @@ import re
 import threading
 import time
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -131,6 +132,34 @@ def test_transport_error_fails_the_record_and_the_run_completes(tmp_path):
     assert [r.status for r in result.records] == [Status.SCORED, Status.SCORED, Status.FAILED]
     assert "ChunkedEncodingError" in result.records[2].error
     assert result.report is not None and result.report.n_scored == 2
+
+
+class _LoneSurrogateSession:
+    """Answers one question's prompt with text holding an unpaired surrogate escape."""
+
+    def __init__(self, needle):
+        self.needle = needle
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        text = ANSWER
+        if self.needle in json["messages"][-1]["content"]:
+            text = "Rate control \ud800 helps."
+        payload = {"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}
+        return SimpleNamespace(status_code=200, json=lambda: payload)
+
+
+def test_a_reply_utf8_cannot_encode_fails_its_record_and_the_run_writes_its_files(tmp_path):
+    generator = HttpBackend(
+        BackendSpec(backend_id="generator", endpoint="http://unit.test/v1/chat", model="m"),
+        session=_LoneSurrogateSession("atrial fibrillation"),
+    )
+    _, splitter, checker = _backends()
+
+    result = _run(tmp_path, QUESTIONS, generator, splitter, checker)
+
+    assert [r.status for r in result.records] == [Status.SCORED, Status.SCORED, Status.FAILED]
+    assert "backend generator: completion content holds U+D800" in result.records[2].error
+    assert all((tmp_path / name).exists() for name in OUTPUTS)
 
 
 def test_crash_keeps_finished_replies_and_resume_repeats_only_the_rest(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +296,47 @@ def test_a_numeric_id_converts_and_a_null_title_reads_as_empty(tmp_path):
     assert (document.doc_id, document.title) == ("7", "")
 
 
+_READERS = [
+    (read_source_documents, _DOCUMENT, "doc_id"),
+    (read_questions, _QUESTION, "question_id"),
+    (read_eval_records, _RECORD, "question_id"),
+]
+
+
+@pytest.mark.parametrize("read, good, key", _READERS, ids=["corpus", "questions", "records"])
+def test_a_byte_order_mark_does_not_cost_the_first_line(tmp_path, read, good, key):
+    path = str(tmp_path / "in.jsonl")
+    with open(path, "w", encoding="utf-8-sig") as fh:
+        fh.write("".join(json.dumps({**good, key: k}) + "\n" for k in ("a", "b")))
+    loaded, diagnostics = read(path)
+    assert diagnostics == []
+    assert [getattr(item, key) for item in loaded] == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "read, good, key",
+    [
+        (read_source_documents, _DOCUMENT, "body"),
+        (read_questions, _QUESTION, "text"),
+        (read_eval_records, _RECORD, "preprocessed"),
+        (read_eval_records, _RECORD, "raw_response"),
+        (read_questions, {**_QUESTION, "review_override": "force_keep"}, "filter_trace"),
+    ],
+    ids=["corpus", "questions", "records", "records-raw_response", "questions-filter_trace"],
+)
+def test_text_utf8_cannot_encode_is_a_line_diagnostic(tmp_path, read, good, key):
+    path = str(tmp_path / "in.jsonl")
+    text = "Gout \ud800 flares."
+    bad = {**good, key: [text] if key == "filter_trace" else text}
+    _write_lines(path, [bad, good])  # json.dumps writes the surrogate as an escape
+    loaded, diagnostics = read(path)
+    assert len(loaded) == 1
+    assert [str(d) for d in diagnostics] == [
+        f"line 1: cannot parse record: {key} holds U+D800 at position 5, "
+        "an unpaired surrogate that UTF-8 cannot encode"
+    ]
+
+
 def test_atomic_write_replaces_not_appends(tmp_path):
     path = str(tmp_path / "file.txt")
     atomic_write_text(path, "first version\n")
@@ -319,6 +361,38 @@ def test_failed_replace_keeps_original_and_cleans_temp(tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "keep me\n"
     assert [n for n in os.listdir(tmp_path) if n.startswith(".tmp.")] == []
+
+
+class _Unwritable:
+    def to_dict(self):
+        raise RuntimeError("record cannot be serialized")
+
+
+def test_a_record_failing_midway_leaves_the_earlier_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records([make_record(qid="old")], str(path))
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_records([make_record(qid="new"), _Unwritable(), make_record(qid="late")], str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["records.jsonl"]
+
+
+def _write_peak(path, count, record):
+    tracemalloc.start()
+    try:
+        write_records([record] * count, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_memory_does_not_grow_with_the_record_count(tmp_path):
+    record = make_record(raw="A long answer. " * 1365)  # about 20 KB
+    path = str(tmp_path / "r.jsonl")
+    small, large = _write_peak(path, 50, record), _write_peak(path, 500, record)
+    assert os.path.getsize(path) > 500 * 20_000
+    assert large < 2 * small
 
 
 def test_atomic_write_creates_parent_directory(tmp_path):
