@@ -17,19 +17,20 @@ import os
 import re
 import sys
 from dataclasses import asdict, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .backends import Backend, BackendError, close_backend
 from .config import RunConfig, load_config
 from .dataset import build_dataset
 from .pipeline import STAGES, PipelineError, run_evaluation, run_temperature_ablation
 from .records import (
-    _read_objects,
-    _read_typed,
     atomic_write_text,
+    parse_jsonl_or_raise,
     read_eval_records,
+    read_lines,
     read_questions,
     read_source_documents,
+    unique,
     write_records,
 )
 from .score import dahl_score, precision_by_question, write_report_files
@@ -88,21 +89,36 @@ def _gen_config(cfg: RunConfig, args) -> GenConfig:
 def _read_numbers(path: str) -> List[float]:
     """One sample: comma/whitespace separated floats, optional header line."""
     values: List[float] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            tokens = [t for t in re.split(r"[,\s]+", line.strip()) if t]
-            if not tokens:
-                continue
-            try:
-                parsed = [float(t) for t in tokens]
-            except ValueError:
-                if line_no == 1:
-                    continue  # header
-                raise ValueError(f"{path}: line {line_no} is not numeric") from None
-            values.extend(parsed)
+    for line_no, line in enumerate(read_lines(path), start=1):
+        tokens = [t for t in re.split(r"[,\s]+", line) if t]
+        try:
+            parsed = [float(t) for t in tokens]
+        except ValueError:
+            if line_no == 1:
+                continue  # header
+            raise ValueError(f"{path}: line {line_no} is not numeric") from None
+        values.extend(parsed)
     if not values:
         raise ValueError(f"{path}: no numeric data found")
     return values
+
+
+def _csv_rows(path: str) -> Iterator[Tuple[int, List[str]]]:
+    """(row number, trimmed cells) of each CSV row with a non-blank cell, trailing blanks dropped."""
+    for row_no, row in enumerate(csv.reader(read_lines(path)), start=1):
+        cells = [c.strip() for c in row]
+        while cells and not cells[-1]:
+            cells.pop()
+        if cells:
+            yield row_no, cells
+
+
+def _number(obj: dict, key: str) -> float:
+    """obj[key] as a float; a missing, null, bool or non-numeric value is refused, naming key."""
+    try:
+        return _float(obj[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, not {obj.get(key)!r}") from None
 
 
 def _read_pairs(path: str) -> Tuple[List[float], List[float]]:
@@ -111,87 +127,66 @@ def _read_pairs(path: str) -> Tuple[List[float], List[float]]:
     In a CSV, trailing blank cells are dropped and the first row's cells
     fix the columns: x and y are its last two, in every row.
     """
-    xs: List[float] = []
-    ys: List[float] = []
     if path.endswith(".jsonl"):
-        pairs, diagnostics = _read_typed(path, lambda obj: (_float(obj["x"]), _float(obj["y"])))
-        if diagnostics:
-            raise ValueError(f"{path}: {diagnostics[0]}")
-        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        pairs = parse_jsonl_or_raise(
+            path, read_lines(path), lambda obj: (_number(obj, "x"), _number(obj, "y"))
+        )
     else:
+        pairs = []
         width = 0
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            for row_no, row in enumerate(csv.reader(fh), start=1):
-                cells = [c.strip() for c in row]
-                while cells and not cells[-1]:
-                    cells.pop()
-                if not cells:
-                    continue
-                width = width or len(cells)
-                if len(cells) > width:
-                    raise ValueError(
-                        f"{path}: row {row_no} has {len(cells)} cells, the first row {width}"
-                    )
-                cells += [""] * (width - len(cells))
-                if "" in cells[-2:]:
-                    raise ValueError(f"{path}: row {row_no} has a blank x or y")
-                try:
-                    x, y = float(cells[-2]), float(cells[-1])
-                except (IndexError, ValueError):
-                    if row_no == 1:
-                        continue  # header
-                    raise ValueError(
-                        f"{path}: row {row_no} does not end in two numeric columns"
-                    ) from None
-                xs.append(x)
-                ys.append(y)
-    if not xs:
+        for row_no, cells in _csv_rows(path):
+            width = width or len(cells)
+            if len(cells) > width:
+                raise ValueError(
+                    f"{path}: row {row_no} has {len(cells)} cells, the first row {width}"
+                )
+            cells += [""] * (width - len(cells))
+            if "" in cells[-2:]:
+                raise ValueError(f"{path}: row {row_no} has a blank x or y")
+            try:
+                pairs.append((float(cells[-2]), float(cells[-1])))
+            except (IndexError, ValueError):
+                if row_no == 1:
+                    continue  # header
+                raise ValueError(
+                    f"{path}: row {row_no} does not end in two numeric columns"
+                ) from None
+    if not pairs:
         raise ValueError(f"{path}: no pairs found")
-    return xs, ys
+    return [x for x, _ in pairs], [y for _, y in pairs]
 
 
 def _read_human_scores(path: str, use_mean: bool) -> Dict[str, float]:
     """question_id -> score. Two score columns require --mean."""
-    scores: Dict[str, float] = {}
     if path.endswith(".jsonl"):
-        with open(path, encoding="utf-8") as fh:
-            for line_no, obj, diag in _read_objects(fh):
-                if diag is not None:
-                    raise ValueError(f"{path}: {diag}")
-                try:
-                    qid, score = _required_text(obj, "question_id"), _float(obj["score"])
-                except (KeyError, TypeError, ValueError):
-                    raise ValueError(
-                        f"{path}: line {line_no}: needs question_id and numeric score"
-                    ) from None
-                if qid in scores:
-                    raise ValueError(f"{path}: line {line_no} repeats question_id {qid!r}")
-                scores[qid] = score
+        rows = parse_jsonl_or_raise(
+            path,
+            read_lines(path),
+            lambda obj: (_required_text(obj, "question_id"), _number(obj, "score")),
+            unique(lambda row: row[0], "question_id"),
+        )
+        scores = dict(rows)
     else:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            for row_no, row in enumerate(csv.reader(fh), start=1):
-                row = [c.strip() for c in row]
-                if not row or not any(row):
-                    continue
-                qid, rest = row[0], row[1:]
-                try:
-                    values = [float(v) for v in rest if v]
-                except ValueError:
-                    if row_no == 1:
-                        continue  # header
-                    raise ValueError(f"{path}: row {row_no} has non-numeric scores") from None
-                if not qid:
-                    raise ValueError(f"{path}: row {row_no} has no question_id")
-                if not values:
-                    raise ValueError(f"{path}: row {row_no} has no score")
-                if len(values) > 1 and not use_mean:
-                    raise ValueError(
-                        f"{path}: row {row_no} has {len(values)} score columns; "
-                        "pass --mean to average annotators"
-                    )
-                if qid in scores:
-                    raise ValueError(f"{path}: row {row_no} repeats question_id {qid!r}")
-                scores[qid] = sum(values) / len(values)
+        scores = {}
+        for row_no, (qid, *rest) in _csv_rows(path):
+            try:
+                values = [float(v) for v in rest if v]
+            except ValueError:
+                if row_no == 1:
+                    continue  # header
+                raise ValueError(f"{path}: row {row_no} has non-numeric scores") from None
+            if not qid:
+                raise ValueError(f"{path}: row {row_no} has no question_id")
+            if not values:
+                raise ValueError(f"{path}: row {row_no} has no score")
+            if len(values) > 1 and not use_mean:
+                raise ValueError(
+                    f"{path}: row {row_no} has {len(values)} score columns; "
+                    "pass --mean to average annotators"
+                )
+            if qid in scores:
+                raise ValueError(f"{path}: row {row_no} repeats question_id {qid!r}")
+            scores[qid] = sum(values) / len(values)
     if not scores:
         raise ValueError(f"{path}: no scores found")
     return scores

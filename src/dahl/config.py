@@ -9,6 +9,7 @@ before any work starts, naming the key.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -17,7 +18,8 @@ import yaml
 
 from . import defaults, mocks
 from .backends import Backend, BackendSpec, MockBackend, RetryPolicy, build_http_backend
-from .dataset import FilterRule, OverrideList, load_filter_rules, load_overrides
+from .dataset import FilterRule, OverrideList, load_filter_rules, normalize_question_text
+from .records import read_lines
 from .types import CategorySet, GenConfig, _float, _int
 
 ROLE_NAMES = ("generator", "splitter", "checker", "categorizer", "question_generator")
@@ -172,10 +174,30 @@ def _read_prompts(files: Dict[str, str]) -> Dict[str, str]:
     return prompts
 
 
+def _override_keys(value: object) -> frozenset:
+    if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
+        raise ValueError("must be a list of strings")
+    return frozenset(normalize_question_text(e) for e in value)
+
+
+def load_overrides(path: Optional[str] = None) -> OverrideList:
+    """Read {"force_keep": [...], "force_drop": [...]} (question ids or texts) from JSON."""
+    if path is None:
+        return OverrideList()
+    try:
+        obj = json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"overrides file {path}: {exc}") from None
+    keys = {"force_keep": _override_keys, "force_drop": _override_keys}
+    return OverrideList(**_read(f"overrides file {path}", obj, keys))
+
+
 def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfig:
     """Load and validate a YAML run configuration."""
-    with open(_require_file(path, "config file"), encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        raw = yaml.safe_load("".join(read_lines(_require_file(path, "config file"))))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     base_dir = os.path.dirname(os.path.abspath(path))
 
     def file_at(what: str) -> Callable[[object], str]:

@@ -7,7 +7,6 @@ ports to another domain can swap them without touching the pipeline.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,9 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
 from .listparse import parse_list_output
-from .records import _read_objects
+from .records import parse_jsonl_or_raise, unique
 from .tasks import run_tasks
 from .types import CategorySet, GenConfig, Question, ReviewOverride, SourceDocument
+from .types import _optional_text, _required_text
 
 # Pseudo-rules the build appends to a filter trace: the categorizer named
 # several fields, or its call failed. No filter rule may take these ids,
@@ -47,7 +47,10 @@ class FilterRule:
             raise ValueError("rule_id must be non-empty")
         if self.rule_id in PSEUDO_RULES:
             raise ValueError(f"rule_id {self.rule_id!r} is reserved for the build")
-        re.compile(self.pattern)  # fail fast on a broken pattern
+        try:
+            re.compile(self.pattern)  # fail fast on a broken pattern
+        except re.error as exc:
+            raise ValueError(f"pattern {self.pattern!r}: {exc}") from None
 
     @cached_property
     def regex(self) -> "re.Pattern":
@@ -61,29 +64,18 @@ class FilterDecision:
 
 
 def load_filter_rules(path: Optional[str] = None) -> List[FilterRule]:
-    """Load filter rules from JSONL; packaged defaults when path is None."""
-    text = defaults.read_file_or_data(path, "filter_rules.jsonl")
-    where = path or "packaged filter_rules.jsonl"
-    rules = []
-    seen = set()
-    for line_no, obj, diag in _read_objects(text.splitlines()):
-        try:
-            if diag is not None:
-                raise ValueError(diag.message)
-            rule = FilterRule(
-                rule_id=str(obj["rule_id"]),
-                pattern=str(obj["pattern"]),
-                description=str(obj.get("description", "")),
-            )
-            if rule.rule_id in seen:
-                raise ValueError(f"duplicate rule_id {rule.rule_id!r}")
-        except KeyError as exc:
-            raise ValueError(f"{where}: line {line_no}: missing key {exc}") from None
-        except (TypeError, ValueError, re.error) as exc:
-            raise ValueError(f"{where}: line {line_no}: {exc}") from None
-        seen.add(rule.rule_id)
-        rules.append(rule)
-    return rules
+    """Load filter rules from JSONL; packaged defaults when path is None.
+
+    The first bad line, or a rule_id used twice, raises ValueError.
+    """
+
+    def parse(obj: dict) -> FilterRule:
+        rule_id, pattern = _required_text(obj, "rule_id"), _required_text(obj, "pattern")
+        return FilterRule(rule_id, pattern, _optional_text(obj, "description") or "")
+
+    lines = defaults.read_file_or_data(path, "filter_rules.jsonl").splitlines()
+    check = unique(lambda rule: rule.rule_id, "rule_id")
+    return parse_jsonl_or_raise(path or "packaged filter_rules.jsonl", lines, parse, check)
 
 
 def normalize_question_text(text: str) -> str:
@@ -117,27 +109,6 @@ class OverrideList:
         if keys & self.force_keep:
             return ReviewOverride.FORCE_KEEP
         return ReviewOverride.NONE
-
-
-def _override_keys(value: object) -> frozenset:
-    if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
-        raise ValueError("must be a list of strings")
-    return frozenset(normalize_question_text(e) for e in value)
-
-
-def load_overrides(path: Optional[str] = None) -> OverrideList:
-    """Read {"force_keep": [...], "force_drop": [...]} (question ids or texts) from JSON."""
-    if path is None:
-        return OverrideList()
-    from .config import ConfigError, _read  # config imports this module
-
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigError(f"overrides file {path}: {exc}") from None
-    keys = {"force_keep": _override_keys, "force_drop": _override_keys}
-    return OverrideList(**_read(f"overrides file {path}", obj, keys))
 
 
 def generate_questions(

@@ -18,6 +18,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import List, Optional
 
+from .records import read_lines
 from .types import CategorySet
 
 # The placeholder that carries what one call of each template is about. Without it every
@@ -39,10 +40,7 @@ def read_data_text(name: str) -> str:
 
 def read_file_or_data(path: Optional[str], packaged_name: str) -> str:
     """The text of path, or of the packaged data file when path is None."""
-    if path is None:
-        return read_data_text(packaged_name)
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    return read_data_text(packaged_name) if path is None else "".join(read_lines(path))
 
 
 def parse_line_file(text: str) -> List[str]:

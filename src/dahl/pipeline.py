@@ -30,7 +30,7 @@ from . import defaults
 from .backends import Backend, endpoint_of
 from .check import VERDICT_PARSER, check_response
 # read_eval_records is not called here; bench/tracing.py hooks it under this module's name.
-from .records import atomic_write_text, read_eval_records, write_records
+from .records import atomic_write_text, read_eval_records, read_lines, write_records
 from .responses import generate_response, preprocess, render_question_prompt
 from .score import REPORT_FILES, dahl_score, write_report_files
 from .split import split_into_units
@@ -55,11 +55,10 @@ class EvaluationResult:
 def _check_manifest(path: str, manifest: dict, resume: bool) -> None:
     """Refuse a resume whose settings differ from the run it continues; else write them."""
     if resume and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                previous = json.load(fh)
-            except ValueError:
-                previous = None
+        try:
+            previous = json.loads("".join(read_lines(path)))
+        except ValueError:
+            previous = None
         if not isinstance(previous, dict):
             raise PipelineError(f"cannot resume: {path} does not hold a JSON object")
         for field in sorted(set(previous) | set(manifest)):

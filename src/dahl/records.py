@@ -3,8 +3,8 @@
 One JSON object per line, UTF-8, keys sorted alphabetically. Writers
 stream through a temp file in the target directory followed by rename,
 so a crash never leaves a partially written file visible and a write
-holds one line in memory, not the file. Readers skip a leading
-byte-order mark.
+holds one line in memory, not the file. Every input file, JSONL or
+not, is read through read_lines.
 """
 
 from __future__ import annotations
@@ -76,8 +76,27 @@ def write_records(records: Iterable, path: str) -> int:
     return count
 
 
-def _read_objects(lines: Iterable[str]):
-    """Yield (line_no, parsed dict or None, diagnostic or None) per non-blank line."""
+def read_lines(path: str) -> Iterator[str]:
+    """The lines of the input file at path, decoded as UTF-8; every input file is read here.
+
+    A leading byte-order mark is skipped; bytes that are not UTF-8 raise ValueError naming path.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            raise ValueError(f"{path}: not UTF-8: {exc.reason} at {bad!r}") from None
+
+
+def parse_jsonl(lines: Iterable[str], parse: Callable, check: Optional[Callable] = None):
+    """The one JSONL loop: parse every non-blank line, collect diagnostics for the rest.
+
+    parse turns a line's JSON object into a value and raises on malformed
+    data; check returns a list of invariant violations for an otherwise
+    well-formed value. Returns (values, diagnostics).
+    """
+    items, diagnostics = [], []
     for line_no, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
@@ -85,67 +104,62 @@ def _read_objects(lines: Iterable[str]):
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
-            yield line_no, None, LineDiagnostic(line_no, f"invalid JSON: {exc}")
+            diagnostics.append(LineDiagnostic(line_no, f"invalid JSON: {exc}"))
             continue
         if not isinstance(obj, dict):
-            yield line_no, None, LineDiagnostic(line_no, "line is not a JSON object")
+            diagnostics.append(LineDiagnostic(line_no, "line is not a JSON object"))
             continue
-        yield line_no, obj, None
-
-
-def _read_typed(path: str, parse: Callable, check: Optional[Callable] = None):
-    """Shared read loop: parse every line, collect diagnostics for the rest.
-
-    parse raises on malformed data; check returns a list of invariant
-    violations for an otherwise well-formed value.
-    """
-    items = []
-    diagnostics = []
-    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not line 1's data
-        for line_no, obj, diag in _read_objects(fh):
-            if diag is not None:
-                diagnostics.append(diag)
-                continue
-            try:
-                item = parse(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                diagnostics.append(LineDiagnostic(line_no, f"cannot parse record: {exc}"))
-                continue
-            violations = check(item) if check is not None else []
-            if violations:
-                diagnostics.append(LineDiagnostic(line_no, "; ".join(violations)))
-                continue
-            items.append(item)
+        try:
+            item = parse(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            diagnostics.append(LineDiagnostic(line_no, f"cannot parse record: {exc}"))
+            continue
+        violations = check(item) if check is not None else []
+        if violations:
+            diagnostics.append(LineDiagnostic(line_no, "; ".join(violations)))
+            continue
+        items.append(item)
     return items, diagnostics
+
+
+def parse_jsonl_or_raise(where: str, lines: Iterable[str], parse: Callable, check=None) -> list:
+    """parse_jsonl's values; its first diagnostic raises ValueError naming where."""
+    items, diagnostics = parse_jsonl(lines, parse, check)
+    if diagnostics:
+        raise ValueError(f"{where}: {diagnostics[0]}")
+    return items
+
+
+def unique(key: Callable, what: str) -> Callable:
+    """A parse_jsonl check that refuses a value whose key an earlier value had."""
+    seen = set()
+
+    def check(item) -> list:
+        if key(item) in seen:
+            return [f"duplicate {what} {key(item)!r}"]
+        seen.add(key(item))
+        return []
+
+    return check
 
 
 def read_eval_records(path: str):
     """Read EvalRecords; invariant-violating lines become diagnostics."""
-    return _read_typed(path, EvalRecord.from_dict, validate_record)
+    return parse_jsonl(read_lines(path), EvalRecord.from_dict, validate_record)
 
 
 def read_questions(path: str, category_set: Optional[CategorySet] = None):
     """Read Questions, optionally enforcing the closed category set."""
 
     def check(q: Question) -> list:
-        violations = []
-        if category_set is not None and q.category not in category_set:
-            violations.append(
-                f"category {q.category!r} is not one of the {len(category_set)} configured labels"
-            )
-        return violations
+        if category_set is None or q.category in category_set:
+            return []
+        return [f"category {q.category!r} is not one of the {len(category_set)} configured labels"]
 
-    return _read_typed(path, Question.from_dict, check)
+    return parse_jsonl(read_lines(path), Question.from_dict, check)
 
 
 def read_source_documents(path: str):
     """Read a corpus; duplicate ids and empty fields become diagnostics."""
-    seen = set()
-
-    def check(doc: SourceDocument) -> list:
-        if doc.doc_id in seen:
-            return [f"duplicate doc_id {doc.doc_id!r}"]
-        seen.add(doc.doc_id)
-        return []
-
-    return _read_typed(path, SourceDocument.from_dict, check)
+    check = unique(lambda doc: doc.doc_id, "doc_id")
+    return parse_jsonl(read_lines(path), SourceDocument.from_dict, check)

@@ -726,18 +726,22 @@ def test_compare_human_alignment_error_lists_both_sides(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, text, where",
+    "name, text, message",
     [
-        ("human.csv", "question_id,score\nh1,0.2\nh2,0.5\nh1,0.9\n", "row 4"),
+        (
+            "human.csv",
+            "question_id,score\nh1,0.2\nh2,0.5\nh1,0.9\n",
+            "row 4 repeats question_id 'h1'",
+        ),
         (
             "human.jsonl",
             '{"question_id": "h1", "score": 0.2}\n{"question_id": "h1", "score": 0.9}\n',
-            "line 2",
+            "line 2: duplicate question_id 'h1'",
         ),
     ],
     ids=["csv", "jsonl"],
 )
-def test_compare_human_refuses_a_repeated_question_id(tmp_path, capsys, name, text, where):
+def test_compare_human_refuses_a_repeated_question_id(tmp_path, capsys, name, text, message):
     records_path = tmp_path / "records.jsonl"
     _write_precision_records(records_path, {"h1": 0.5, "h2": 1.0})
     human_path = tmp_path / name
@@ -747,7 +751,7 @@ def test_compare_human_refuses_a_repeated_question_id(tmp_path, capsys, name, te
     )
     assert code == 1
     assert stdout == ""
-    assert f"{human_path}: {where} repeats question_id 'h1'" in stderr
+    assert f"{human_path}: {message}" in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -1032,6 +1036,11 @@ def http_checker(setting):
             "overrides file {dir}/o.json: Expecting value: line 1 column 17 (char 16)",
         ),
         (
+            {"run.yaml": BACKENDS + "seed: [1\n"},
+            EVALUATE,
+            "config file {dir}/run.yaml: while parsing a flow sequence",
+        ),
+        (
             {"run.yaml": BACKENDS + "overrides_file: o.json\n", "o.json": '["a"]'},
             EVALUATE,
             "overrides file {dir}/o.json must be a mapping, not list",
@@ -1052,7 +1061,7 @@ def http_checker(setting):
                 "rules.jsonl": '{"rule_id": "ok", "pattern": "x"}\n{"pattern": "y"}\n',
             },
             EVALUATE,
-            "{dir}/rules.jsonl: line 2: missing key 'rule_id'",
+            "{dir}/rules.jsonl: line 2: cannot parse record: rule_id must be non-empty",
         ),
         (
             {"pairs.jsonl": GOOD_PAIRS + '{"x": 0.3, "y":\n'},
@@ -1062,7 +1071,7 @@ def http_checker(setting):
         (
             {"pairs.jsonl": GOOD_PAIRS + '{"x": 0.3}\n'},
             ["stats", "pearson", "--pairs", "{dir}/pairs.jsonl"],
-            "{dir}/pairs.jsonl: line 3: cannot parse record: 'y'",
+            "{dir}/pairs.jsonl: line 3: cannot parse record: y must be a number, not None",
         ),
         (
             {"human.jsonl": '{"question_id": "h1", "score": 0.5}\n[0.5]\n'},
@@ -1135,17 +1144,17 @@ def http_checker(setting):
         (
             {"pairs.jsonl": GOOD_PAIRS + '{"x": true, "y": 0.3}\n'},
             ["stats", "pearson", "--pairs", "{dir}/pairs.jsonl"],
-            "{dir}/pairs.jsonl: line 3: cannot parse record: not a number: True",
+            "{dir}/pairs.jsonl: line 3: cannot parse record: x must be a number, not True",
         ),
         (
             {"human.jsonl": HUMAN_H1 + '{"question_id": "h2", "score": true}\n'},
             ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.jsonl"],
-            "{dir}/human.jsonl: line 2: needs question_id and numeric score",
+            "{dir}/human.jsonl: line 2: cannot parse record: score must be a number, not True",
         ),
         (
             {"human.jsonl": HUMAN_H1 + '{"question_id": null, "score": 1}\n'},
             ["compare-human", "--records", "{dir}/records.jsonl", "--human", "{dir}/human.jsonl"],
-            "{dir}/human.jsonl: line 2: needs question_id and numeric score",
+            "{dir}/human.jsonl: line 2: cannot parse record: question_id must be non-empty",
         ),
         (
             {"human.csv": "question_id,score\nh1,0.5\n,1.0\n"},
@@ -1179,6 +1188,7 @@ def http_checker(setting):
         "concurrency-flag-zero",
         "questions-per-doc-flag-zero",
         "overrides-not-json",
+        "config-not-yaml",
         "overrides-not-mapping",
         "overrides-string-not-list",
         "overrides-typo",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import dahl.dataset
 from dahl import mocks
 from dahl.backends import MockBackend, PermanentBackendError
+from dahl.config import load_overrides
 from dahl.dataset import (
     AMBIGUOUS_CATEGORY_RULE,
     CategorizeResult,
@@ -25,7 +26,6 @@ from dahl.dataset import (
     filter_context_dependent,
     generate_questions,
     load_filter_rules,
-    load_overrides,
     make_question_id,
     normalize_question_text,
     resolve_category_reply,
@@ -80,7 +80,8 @@ def test_pseudo_rule_ids_are_reserved(tmp_path, rule_id):
     path = tmp_path / "rules.jsonl"
     line = json.dumps({"rule_id": rule_id, "pattern": "y"})
     path.write_text('{"rule_id": "ok", "pattern": "x"}\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"line 2: rule_id '{rule_id}' is reserved"):
+    expected = f"line 2: cannot parse record: rule_id '{rule_id}' is reserved for the build"
+    with pytest.raises(ValueError, match=expected):
         load_filter_rules(str(path))
 
 
