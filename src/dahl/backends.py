@@ -30,7 +30,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, Tuple, Union
 
-from .records import dumps_compact
 from .types import GenConfig, _utf8_text
 
 if TYPE_CHECKING:  # loaded by HttpBackend itself, so an offline run never imports it
@@ -331,19 +330,15 @@ class ThrottledBackend:
 
 
 def cache_key(req: ChatRequest, backend: Backend) -> str:
-    """Content hash of a request and of the role, model and endpoint it goes to."""
-    material = dumps_compact(
-        {
-            "backend_id": backend.backend_id,
-            "endpoint": endpoint_of(backend),
-            "max_tokens": req.gen_config.max_tokens,
-            "model": backend.model,
-            "seed": req.gen_config.seed,
-            "temperature": req.gen_config.temperature,
-            "user_prompt": req.user_prompt,
-        }
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    """Content hash of a request and of the role, model and endpoint it goes to.
+
+    One sha256 over the repr of the other fields, a NUL, then the prompt. repr escapes
+    NUL and the prompt comes last, so two keys are equal only if every field is.
+    """
+    gen = req.gen_config
+    fields = (backend.backend_id, endpoint_of(backend), backend.model, gen.max_tokens, gen.seed,
+              gen.temperature)
+    return hashlib.sha256(f"{fields!r}\0{req.user_prompt}".encode("utf-8")).hexdigest()
 
 
 class CachedBackend:
@@ -375,11 +370,12 @@ class CachedBackend:
         except sqlite3.DatabaseError as exc:
             self._db.close()
             raise ValueError(f"response cache {path}: {exc}") from exc
+        self._get = self._db.cursor()  # every lookup, under the lock
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         key = cache_key(req, self)
         with self._lock:
-            row = self._db.execute(
+            row = self._get.execute(
                 "SELECT text, finish_reason FROM responses WHERE key = ?", (key,)
             ).fetchone()
         if row and isinstance(row[0], str) and isinstance(row[1], str):

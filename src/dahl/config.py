@@ -189,7 +189,11 @@ def load_overrides(path: Optional[str] = None) -> OverrideList:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"overrides file {path}: {exc}") from None
     keys = {"force_keep": _override_keys, "force_drop": _override_keys}
-    return OverrideList(**_read(f"overrides file {path}", obj, keys))
+    values = _read(f"overrides file {path}", obj, keys)
+    try:
+        return OverrideList(**values)
+    except ValueError as exc:  # an entry in both lists
+        raise ConfigError(f"overrides file {path}: {exc}") from None
 
 
 def load_config(path: str, cache_dir_override: Optional[str] = None) -> RunConfig:

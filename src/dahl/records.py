@@ -30,8 +30,8 @@ class LineDiagnostic:
         return f"line {self.line_no}: {self.message}"
 
 
-def dumps_compact(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# One encoder for every line: json.dumps with these options would build a new one per call.
+dumps_compact = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode
 
 
 @contextmanager

@@ -118,8 +118,10 @@ def run_tasks(items: Sequence, task: Callable, concurrency: int) -> list:
     are dropped. Returns the results in item order, or raises the first task exception in
     item order.
     """
+    if concurrency <= 1:
+        return [task(item) for item in items]
     pool = _Pool(task, items)
-    helpers = [threading.Thread(target=pool.work) for _ in range(max(1, concurrency) - 1)]
+    helpers = [threading.Thread(target=pool.work) for _ in range(concurrency - 1)]
     try:
         for helper in helpers:
             helper.start()

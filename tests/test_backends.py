@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -319,6 +320,77 @@ def test_cache_key_depends_on_every_field():
     assert k != cache_key(base, addressee(endpoint="http://b.test/v1/chat"))
     assert k != cache_key(base, addressee(role="checker"))
     assert k == cache_key(request("prompt A", temperature=0.2, max_tokens=10, seed=1), to)
+
+
+def test_cache_key_is_pinned():
+    # Changing the key makes every existing cache miss once, so it must be deliberate.
+    req = request("What treats scurvy?", temperature=0.2, max_tokens=10, seed=1)
+    key = cache_key(req, addressee(role="checker", endpoint="http://a.test/v1/chat"))
+    assert key == "e717240743299d2eeb0a8c32ad57120fbaca6f3f69cabc85bb07a673f78ef996"
+    material = b"('checker', 'http://a.test/v1/chat', 'model-x', 10, 1, 0.2)\x00What treats scurvy?"
+    assert key == hashlib.sha256(material).hexdigest()
+
+
+def _unescaped(req, to):
+    """The key material with str() for repr(): what the key must not reduce to."""
+    g = req.gen_config
+    header = f"('{to.backend_id}', {to.endpoint}, '{to.model}', {g.max_tokens}, {g.seed}, {g.temperature})"
+    return f"{header}\0{req.user_prompt}"
+
+
+TAIL = ", 10, 1, 0.2)"  # what follows the model in the header of request(..., 10, 1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((addressee(endpoint=None), "p"), (addressee(endpoint="None"), "p")),
+        (  # a prompt holding a NUL and text that looks like the rest of the header
+            (addressee(), "x', None, 'model-x'" + TAIL + "\0y"),
+            (addressee(role="gen', None, 'model-x'" + TAIL + "\0x"), "y"),
+        ),
+        (  # the boundary between the model and the prompt shifted
+            (addressee(), "p'" + TAIL + "\0q"),
+            (addressee(model="model-x'" + TAIL + "\0p"), "q"),
+        ),
+    ],
+    ids=["endpoint-None-and-'None'", "nul-and-header-in-prompt", "model-prompt-boundary"],
+)
+def test_cache_keys_differ_where_joining_the_fields_as_text_would_collide(a, b):
+    (to_a, prompt_a), (to_b, prompt_b) = a, b
+    req_a, req_b = (request(p, temperature=0.2, max_tokens=10, seed=1) for p in (prompt_a, prompt_b))
+    assert _unescaped(req_a, to_a) == _unescaped(req_b, to_b)
+    assert cache_key(req_a, to_a) != cache_key(req_b, to_b)
+
+
+def test_a_row_under_the_old_json_key_is_a_miss_that_adds_a_new_row(tmp_path):
+    req = request("written by an older version")
+    inner = MockBackend(default="fresh", model="m")
+    old_key = hashlib.sha256(
+        json.dumps(
+            {
+                "backend_id": inner.backend_id,
+                "endpoint": None,
+                "max_tokens": req.gen_config.max_tokens,
+                "model": inner.model,
+                "seed": req.gen_config.seed,
+                "temperature": req.gen_config.temperature,
+                "user_prompt": req.user_prompt,
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+            separators=(",", ":"),
+        ).encode("utf-8")
+    ).hexdigest()
+    CachedBackend(inner, str(tmp_path)).close()
+    _sql(tmp_path, f"INSERT INTO responses VALUES ('{old_key}', 'stale', 'stop')")
+    with CachedBackend(inner, str(tmp_path)) as cached:
+        resp = cached.complete(req)
+    assert not resp.from_cache and resp.text == "fresh"
+    assert inner.calls == 1
+    assert sorted(_rows(tmp_path)) == sorted(
+        [(old_key, "stale", "stop"), (cache_key(req, inner), "fresh", "stop")]
+    )
 
 
 def test_cache_hit_skips_inner_backend(tmp_path):

@@ -1057,6 +1057,14 @@ def http_checker(setting):
         ),
         (
             {
+                "run.yaml": BACKENDS + "overrides_file: o.json\n",
+                "o.json": '{"force_keep": ["a"], "force_drop": ["a"]}',
+            },
+            EVALUATE,
+            "overrides file {dir}/o.json: entries present in both force_keep and force_drop: ['a']",
+        ),
+        (
+            {
                 "run.yaml": BACKENDS + "rules_file: rules.jsonl\n",
                 "rules.jsonl": '{"rule_id": "ok", "pattern": "x"}\n{"pattern": "y"}\n',
             },
@@ -1192,6 +1200,7 @@ def http_checker(setting):
         "overrides-not-mapping",
         "overrides-string-not-list",
         "overrides-typo",
+        "overrides-in-both-lists",
         "rules-line",
         "pearson-invalid-json",
         "pearson-missing-y",

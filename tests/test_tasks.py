@@ -176,6 +176,29 @@ def test_a_failed_subitem_is_raised_and_no_subitem_or_item_starts_after_it():
     assert threading.active_count() == before
 
 
+def test_at_concurrency_1_a_failed_subitem_stops_the_rest_and_is_raised_as_is(monkeypatch):
+    def start(thread):
+        raise AssertionError("a concurrency-1 run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    boom = Boom("item 1, subitem 1")
+    started = []
+    threads = set()
+
+    def check(pair):
+        started.append(pair)
+        threads.add(threading.get_ident())
+        if pair == (1, 1):
+            raise boom
+        return pair
+
+    with pytest.raises(Boom) as raised:
+        run_tasks(range(3), lambda i: share(check, [(i, s) for s in range(3)]), 1)
+    assert raised.value is boom
+    assert started == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert threads == {threading.get_ident()}
+
+
 def test_every_subitem_runs_once_under_a_short_switch_interval():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
