@@ -12,6 +12,9 @@ Three layers, composable from the inside out:
 
 MockBackend, a deterministic offline stand-in, wraps nothing.
 
+build_http_backend enters the session and cache file it opens on the
+caller's ExitStack, which closes them; no layer closes the one it wraps.
+
 HttpBackend imports requests and CachedBackend imports sqlite3 when
 they are built, so a run without them loads neither.
 
@@ -26,7 +29,7 @@ import os
 import random
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, Tuple, Union
 
@@ -108,6 +111,10 @@ class BackendSpec:
             raise ValueError(f"max_concurrency: must be >= 1, got {self.max_concurrency}")
         if not self.timeout_s > 0:
             raise ValueError(f"timeout_s: must be > 0, got {self.timeout_s}")
+        if not self.timeout_s <= threading.TIMEOUT_MAX:  # a socket refuses a longer wait
+            raise ValueError(
+                f"timeout_s: must be at most {threading.TIMEOUT_MAX:.0f}, got {self.timeout_s}"
+            )
         if self.requests_per_second is not None and not self.requests_per_second > 0:
             raise ValueError(
                 f"requests_per_second: must be > 0 or unset, got {self.requests_per_second}"
@@ -132,8 +139,9 @@ class HttpBackend:
     """Plain JSON chat-completion client with retry logic.
 
     The auth token is read once, on construction, which fails if its
-    variable is unset. The session and sleep function are injectable
-    for tests. 429 and 5xx responses, timeouts, connection drops, and
+    variable is unset. Calls go through the given session, which the
+    caller opened and closes; the sleep function is injectable for
+    tests. 429 and 5xx responses, timeouts, connection drops, and
     bodies cut off or garbled in transit are retried with exponential
     backoff and jitter; other 4xx and any other transport error fail
     immediately. Every failure surfaces as a BackendError, including
@@ -144,7 +152,7 @@ class HttpBackend:
     def __init__(
         self,
         spec: BackendSpec,
-        session: Optional[requests.Session] = None,
+        session: requests.Session,
         sleeper: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -162,8 +170,7 @@ class HttpBackend:
                     f"backend {self.backend_id}: auth env var {spec.auth_env} is not set"
                 )
             self._headers["Authorization"] = f"Bearer {token}"
-        self._owns_session = session is None
-        self._session = session if session is not None else requests.Session()
+        self._session = session
         self._sleep = sleeper
         self._rng = rng if rng is not None else random.Random()
         self._transient_errors = (
@@ -256,11 +263,6 @@ class HttpBackend:
             f"({last_failure})"
         )
 
-    def close(self) -> None:
-        """Close the session if this backend created it; an injected one stays open."""
-        if self._owns_session:
-            self._session.close()
-
 
 class TokenBucket:
     """Client-side rate limiter. Thread-safe; clock injectable for tests."""
@@ -325,9 +327,6 @@ class ThrottledBackend:
                 self._bucket.acquire()
             return self._inner.complete(req)
 
-    def close(self) -> None:
-        close_backend(self._inner)
-
 
 def cache_key(req: ChatRequest, backend: Backend) -> str:
     """Content hash of a request and of the role, model and endpoint it goes to.
@@ -388,14 +387,13 @@ class CachedBackend:
         return resp
 
     def close(self) -> None:
-        """Close the cache file, then the backend behind it. Safe to call twice.
+        """Close the cache file, and nothing behind it. Safe to call twice.
 
         Closing checkpoints the write-ahead log into cache.sqlite and
         removes the -wal and -shm files.
         """
         with self._lock:
             self._db.close()
-        close_backend(self._inner)
 
     def __enter__(self) -> "CachedBackend":
         return self
@@ -451,25 +449,25 @@ class MockBackend:
         return ChatResponse(text)
 
 
-def close_backend(backend: Backend) -> None:
-    """Release what a backend holds open; backends without close() hold nothing."""
-    close = getattr(backend, "close", None)
-    if close is not None:
-        close()
-
-
 def endpoint_of(backend: Backend) -> Optional[str]:
     """The URL a backend's calls go to; None for one without (a mock, say)."""
     return getattr(backend, "endpoint", None)
 
 
-def build_http_backend(spec: BackendSpec, cache_dir: Optional[str] = None) -> Backend:
-    """Assemble the standard stack: cache over HTTP, throttled only for a declared limit."""
-    backend: Backend = HttpBackend(spec)
+def build_http_backend(
+    spec: BackendSpec, resources: ExitStack, cache_dir: Optional[str] = None
+) -> Backend:
+    """Assemble the standard stack: cache over HTTP, throttled only for a declared limit.
+
+    Each thing opened goes on resources at once, so resources closes it if building fails.
+    """
+    import requests
+
+    backend: Backend = HttpBackend(spec, resources.enter_context(requests.Session()))
     if spec.max_concurrency is not None or spec.requests_per_second is not None:
         backend = ThrottledBackend(
             backend, spec.max_concurrency, requests_per_second=spec.requests_per_second
         )
     if cache_dir:
-        backend = CachedBackend(backend, cache_dir)
+        backend = resources.enter_context(CachedBackend(backend, cache_dir))
     return backend

@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .backends import Backend, BackendError, close_backend
+from .backends import BackendError
 from .config import RunConfig, load_config
 from .dataset import build_dataset
 from .pipeline import STAGES, PipelineError, run_evaluation, run_temperature_ablation
@@ -70,11 +70,6 @@ def _load_run_config(args) -> RunConfig:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
             setattr(cfg, name, value)
     return cfg
-
-
-def _closed_on_exit(stack: contextlib.ExitStack, backend: Backend) -> Backend:
-    stack.callback(close_backend, backend)
-    return backend
 
 
 def _gen_config(cfg: RunConfig, args) -> GenConfig:
@@ -201,9 +196,9 @@ def cmd_build_dataset(args) -> int:
     corpus = _read_usable(read_source_documents, args.corpus, "documents")
 
     role = "question_generator" if "question_generator" in cfg.backends else "generator"
-    with contextlib.ExitStack() as backends:
-        generator = _closed_on_exit(backends, cfg.build_backend(role))
-        categorizer = _closed_on_exit(backends, cfg.build_backend("categorizer"))
+    with contextlib.ExitStack() as resources:
+        generator = cfg.build_backend(role, resources)
+        categorizer = cfg.build_backend("categorizer", resources)
         kept, dropped, report = build_dataset(
             corpus,
             generator,
@@ -239,10 +234,10 @@ def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     questions = _read_usable(read_questions, args.questions, "questions", cfg.category_set)
 
-    with contextlib.ExitStack() as backends:
-        generator = _closed_on_exit(backends, cfg.build_backend("generator"))
-        splitter = _closed_on_exit(backends, cfg.build_backend("splitter"))
-        checker = _closed_on_exit(backends, cfg.build_backend("checker"))
+    with contextlib.ExitStack() as resources:
+        generator = cfg.build_backend("generator", resources)
+        splitter = cfg.build_backend("splitter", resources)
+        checker = cfg.build_backend("checker", resources)
         result = run_evaluation(
             questions,
             args.out,
@@ -295,10 +290,10 @@ def cmd_ablate_temperature(args) -> int:
     except ValueError:
         raise ValueError(f"cannot parse temperatures from {args.temps!r}") from None
 
-    with contextlib.ExitStack() as backends:
-        generators = [_closed_on_exit(backends, cfg.build(g)) for g in cfg.generators]
-        splitter = _closed_on_exit(backends, cfg.build_backend("splitter"))
-        checker = _closed_on_exit(backends, cfg.build_backend("checker"))
+    with contextlib.ExitStack() as resources:
+        generators = [cfg.build(g, resources) for g in cfg.generators]
+        splitter = cfg.build_backend("splitter", resources)
+        checker = cfg.build_backend("checker", resources)
         rows = run_temperature_ablation(
             questions,
             args.out,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -97,16 +98,16 @@ class RunConfig:
     concurrency: int = 4
     questions_per_doc: int = 5
 
-    def build(self, entry: Entry) -> Backend:
-        """The mock itself, or the HTTP stack a spec describes (cached if cache_dir is set)."""
+    def build(self, entry: Entry, resources: ExitStack) -> Backend:
+        """The mock itself, or a spec's HTTP stack (cached if cache_dir is set) on resources."""
         if isinstance(entry, BackendSpec):
-            return build_http_backend(entry, self.cache_dir)
+            return build_http_backend(entry, resources, self.cache_dir)
         return entry
 
-    def build_backend(self, role: str) -> Backend:
+    def build_backend(self, role: str, resources: ExitStack) -> Backend:
         if role not in self.backends:
             raise ConfigError(f"no backend configured for role {role!r}")
-        return self.build(self.backends[role])
+        return self.build(self.backends[role], resources)
 
 
 def _require_file(path: str, what: str) -> str:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -16,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import defaults
 from .backends import Backend, BackendError, ChatRequest
 from .listparse import parse_list_output
-from .records import parse_jsonl_or_raise, unique
+from .records import parse_jsonl_or_raise, repeated, unique
 from .tasks import run_tasks
 from .types import CategorySet, GenConfig, Question, ReviewOverride, SourceDocument
 from .types import _optional_text, _required_text
@@ -249,9 +248,8 @@ def build_dataset(
     categorized (no point spending calls on them); their category is
     the catch-all label.
     """
-    doc_ids = [doc.doc_id for doc in corpus]
-    if len(set(doc_ids)) != len(doc_ids):
-        dupes = sorted(i for i, n in Counter(doc_ids).items() if n > 1)
+    dupes = repeated(doc.doc_id for doc in corpus)
+    if dupes:
         raise ValueError(f"duplicate doc ids: {dupes}")
     for name, template in (
         ("question_generation", question_prompt),

@@ -22,7 +22,6 @@ import io
 import json
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +29,7 @@ from . import defaults
 from .backends import Backend, endpoint_of
 from .check import VERDICT_PARSER, check_response
 # read_eval_records is not called here; bench/tracing.py hooks it under this module's name.
-from .records import atomic_write_text, read_eval_records, read_lines, write_records
+from .records import atomic_write_text, read_eval_records, read_lines, repeated, write_records
 from .responses import generate_response, preprocess, render_question_prompt
 from .score import REPORT_FILES, dahl_score, write_report_files
 from .split import split_into_units
@@ -100,9 +99,8 @@ def run_evaluation(
         raise PipelineError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
     if not questions:
         raise PipelineError("no questions to evaluate")
-    ids = [q.question_id for q in questions]
-    if len(set(ids)) != len(ids):
-        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+    dupes = repeated(q.question_id for q in questions)
+    if dupes:
         raise PipelineError(f"duplicate question ids: {dupes}")
     prompts = {**defaults.PROMPTS, **(prompts or {})}
     manifest = {"gen_config": gen_config.to_dict(), "verdict_parser": VERDICT_PARSER}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, TextIO
@@ -141,6 +142,11 @@ def unique(key: Callable, what: str) -> Callable:
         return []
 
     return check
+
+
+def repeated(keys: Iterable) -> list:
+    """The keys that occur more than once, sorted; empty when all are distinct."""
+    return sorted(key for key, n in Counter(keys).items() if n > 1)
 
 
 def read_eval_records(path: str):

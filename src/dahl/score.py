@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import asdict
 from typing import Sequence
 
-from .records import atomic_write_text
+from .records import atomic_write_text, repeated
 from .types import CategoryScore, EvalRecord, ScoreReport, Status, Verdict
 
 
@@ -32,10 +32,9 @@ def _record_precision(record: EvalRecord) -> float:
 
 
 def _refuse_repeats(records: Sequence[EvalRecord]) -> None:
-    counts = Counter(r.question_id for r in records)
-    repeated = sorted(qid for qid, n in counts.items() if n > 1)
-    if repeated:
-        raise ValueError(f"records repeat question ids: {repeated}")
+    dupes = repeated(r.question_id for r in records)
+    if dupes:
+        raise ValueError(f"records repeat question ids: {dupes}")
 
 
 def precision_by_question(records: Sequence[EvalRecord]) -> dict:

@@ -11,7 +11,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import ExitStack, closing
 from types import SimpleNamespace
 
 import pytest
@@ -503,17 +503,47 @@ def test_closed_cache_leaves_only_its_file_and_keeps_every_row(tmp_path):
     assert os.listdir(tmp_path) == ["cache.sqlite"]
 
 
-def test_close_reaches_the_session_only_when_the_backend_made_it(tmp_path, monkeypatch):
+def test_the_stack_closes_the_session_and_the_cache_file_and_no_layer_closes_another(
+    tmp_path, monkeypatch
+):
     closed = []
     monkeypatch.setattr(requests.Session, "close", lambda self: closed.append(self))
-    build_http_backend(spec(), cache_dir=str(tmp_path)).close()
+    with ExitStack() as resources:
+        backend = build_http_backend(spec(max_concurrency=2), resources, cache_dir=str(tmp_path))
+        assert isinstance(backend._inner, ThrottledBackend)
+        assert closed == [] and "cache.sqlite-wal" in os.listdir(tmp_path)
     assert len(closed) == 1
     assert os.listdir(tmp_path) == ["cache.sqlite"]
 
     injected = FakeSession([])
-    ThrottledBackend(HttpBackend(spec(), session=injected), max_concurrency=2).close()
+    with CachedBackend(HttpBackend(spec(), session=injected), str(tmp_path)):
+        pass
     assert not injected.closed
-    ThrottledBackend(MockBackend(), max_concurrency=2).close()  # nothing to close inside
+    assert os.listdir(tmp_path) == ["cache.sqlite"]
+
+
+@pytest.mark.parametrize(
+    "token, cache_bytes, error, match",
+    [
+        ("sekrit", b"this is not an SQLite database" * 4, ValueError, "response cache .*sqlite"),
+        (None, None, PermanentBackendError, "auth env var UNIT_TEST_TOKEN is not set"),
+    ],
+    ids=["cache-not-a-database", "token-unset"],
+)
+def test_a_stack_that_fails_to_build_still_closes_its_session(
+    tmp_path, monkeypatch, token, cache_bytes, error, match
+):
+    closed = []
+    monkeypatch.setattr(requests.Session, "close", lambda self: closed.append(self))
+    if token is None:
+        monkeypatch.delenv("UNIT_TEST_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("UNIT_TEST_TOKEN", token)
+    if cache_bytes is not None:
+        (tmp_path / "cache.sqlite").write_bytes(cache_bytes)
+    with pytest.raises(error, match=match):
+        with ExitStack() as resources:
+            build_http_backend(spec(auth_env="UNIT_TEST_TOKEN"), resources, str(tmp_path))
     assert len(closed) == 1
 
 
@@ -525,12 +555,14 @@ def test_two_endpoints_sharing_a_cache_dir_do_not_share_entries(tmp_path, monkey
         return FakeResponse(200, ok_payload(f"from {url}"))
 
     monkeypatch.setattr(requests.Session, "post", post)
-    a = build_http_backend(spec(endpoint="http://a.test/v1/chat"), cache_dir=str(tmp_path))
-    b = build_http_backend(spec(endpoint="http://b.test/v1/chat"), cache_dir=str(tmp_path))
-    assert a.complete(request()).text == "from http://a.test/v1/chat"
-    assert b.complete(request()).text == "from http://b.test/v1/chat"
-    assert a.complete(request()).from_cache and b.complete(request()).from_cache
+    with ExitStack() as resources:
+        a = build_http_backend(spec(endpoint="http://a.test/v1/chat"), resources, str(tmp_path))
+        b = build_http_backend(spec(endpoint="http://b.test/v1/chat"), resources, str(tmp_path))
+        assert a.complete(request()).text == "from http://a.test/v1/chat"
+        assert b.complete(request()).text == "from http://b.test/v1/chat"
+        assert a.complete(request()).from_cache and b.complete(request()).from_cache
     assert urls == ["http://a.test/v1/chat", "http://b.test/v1/chat"]
+    assert os.listdir(tmp_path) == ["cache.sqlite"]
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +604,19 @@ def test_mock_miss_is_a_permanent_backend_error():
 
 def test_build_http_backend_stacks_cache_over_throttle(tmp_path):
     # The throttle sits between cache and HTTP only for a declared provider limit.
-    with build_http_backend(spec(), cache_dir=str(tmp_path)) as backend:
+    with ExitStack() as resources:
+        backend = build_http_backend(spec(), resources, cache_dir=str(tmp_path))
+        assert isinstance(backend, CachedBackend)
         assert isinstance(backend._inner, HttpBackend)
         assert backend.backend_id == "gen"
         assert backend.model == "m-1"
-    with build_http_backend(spec(max_concurrency=2), cache_dir=str(tmp_path)) as capped:
+        capped = build_http_backend(spec(max_concurrency=2), resources, cache_dir=str(tmp_path))
         assert isinstance(capped._inner, ThrottledBackend)
         assert isinstance(capped._inner._inner, HttpBackend)
-    assert isinstance(build_http_backend(spec()), HttpBackend)
-    rate_only = build_http_backend(spec(requests_per_second=5.0))
-    assert isinstance(rate_only, ThrottledBackend)
-    assert not isinstance(rate_only._slots, threading.BoundedSemaphore)
+        assert isinstance(build_http_backend(spec(), resources), HttpBackend)
+        rate_only = build_http_backend(spec(requests_per_second=5.0), resources)
+        assert isinstance(rate_only, ThrottledBackend)
+        assert not isinstance(rate_only._slots, threading.BoundedSemaphore)
 
 
 def _heavy_modules_after(code):

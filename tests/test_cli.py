@@ -1005,6 +1005,26 @@ def http_checker(setting):
             "backends.checker: timeout_s: must be > 0, got 0.0",
         ),
         (
+            {
+                "run.yaml": BACKENDS.replace(
+                    "{kind: mock, model: g}",
+                    "{kind: http, model: g, endpoint: 'http://unit.test/v1', timeout_s: .inf}",
+                )
+            },
+            EVALUATE,
+            "backends.generator: timeout_s: must be at most 9223372036, got inf",
+        ),
+        (
+            {
+                "run.yaml": BACKENDS.replace(
+                    "{kind: mock, model: g}",
+                    "{kind: http, model: g, endpoint: 'http://unit.test/v1', timeout_s: 1e12}",
+                )
+            },
+            EVALUATE,
+            "backends.generator: timeout_s: must be at most 9223372036, got 1000000000000.0",
+        ),
+        (
             {"run.yaml": http_checker("base_backoff_s: -1")},
             EVALUATE,
             "backends.checker: base_backoff_s: must be >= 0, got -1.0",
@@ -1190,6 +1210,8 @@ def http_checker(setting):
         "http-without-endpoint",
         "temperature-bool",
         "timeout-zero",
+        "timeout-infinite",
+        "timeout-past-socket-limit",
         "backoff-negative",
         "rate-zero",
         "auth-env-unset",

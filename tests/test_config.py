@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import re
 import textwrap
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from dahl.backends import (
     HttpBackend,
     MockBackend,
     RetryPolicy,
-    close_backend,
 )
 from dahl.config import ConfigError, load_config
 from dahl.defaults import PROMPT_NAMES, PROMPT_SUBJECTS, PROMPTS, load_prompt
@@ -80,7 +80,7 @@ questions_per_doc: 3
 
 def test_mock_backend_built_with_role_behavior(tmp_path):
     cfg = load_config(write_config(tmp_path))
-    backend = cfg.build_backend("generator")
+    backend = cfg.build_backend("generator", ExitStack())
     assert isinstance(backend, MockBackend)
     assert backend.model == "gen-m"
     assert backend.backend_id == "generator"
@@ -94,7 +94,7 @@ backends:
   checker: {kind: mock, model: m, reply: "True"}
 """,
     )
-    backend = load_config(path).build_backend("checker")
+    backend = load_config(path).build_backend("checker", ExitStack())
     from dahl.backends import ChatRequest
     from dahl.types import GenConfig
 
@@ -136,24 +136,23 @@ cache_dir: cache
 """,
         name="http.yaml",
     )
-    cfg = load_config(path)
-    backend = cfg.build_backend("generator")
-    assert isinstance(backend, CachedBackend)
-    assert isinstance(backend._inner, HttpBackend)
-
     bare = write_config(
         tmp_path,
         "backends:\n  generator: {kind: http, model: m, endpoint: http://unit.test/chat}\n",
         name="nocache.yaml",
     )
-    built_without_cache = load_config(bare).build_backend("generator")
-    assert isinstance(built_without_cache, HttpBackend)
+    with ExitStack() as resources:
+        backend = load_config(path).build_backend("generator", resources)
+        assert isinstance(backend, CachedBackend)
+        assert isinstance(backend._inner, HttpBackend)
+        built_without_cache = load_config(bare).build_backend("generator", resources)
+        assert isinstance(built_without_cache, HttpBackend)
 
 
 def test_missing_role_at_build_time(tmp_path):
     cfg = load_config(write_config(tmp_path))
     with pytest.raises(ConfigError, match="no backend configured for role 'question_generator'"):
-        cfg.build_backend("question_generator")
+        cfg.build_backend("question_generator", ExitStack())
 
 
 def test_generators_list_for_multi_model_runs(tmp_path):
@@ -291,11 +290,8 @@ cache_dir: null
     assert cfg.gen_config == GenConfig(max_tokens=64)
     assert cfg.seed == 0 and cfg.cache_dir is None
     assert cfg.prompts["checker"] == load_prompt("checker")
-    backend = cfg.build_backend("generator")
-    try:
-        assert backend.spec.max_concurrency is None
-    finally:
-        close_backend(backend)
+    with ExitStack() as resources:
+        assert cfg.build_backend("generator", resources).spec.max_concurrency is None
 
 
 def test_http_settings_reach_the_backend_spec_and_unset_ones_keep_its_defaults(
@@ -320,9 +316,9 @@ backends:
 """,
     )
     cfg = load_config(path)
-    generator = cfg.build_backend("generator")
-    checker = cfg.build_backend("checker")
-    try:
+    with ExitStack() as resources:
+        generator = cfg.build_backend("generator", resources)
+        checker = cfg.build_backend("checker", resources)
         assert generator._inner.spec == BackendSpec(
             backend_id="generator",
             endpoint="http://unit.test/chat",
@@ -336,9 +332,6 @@ backends:
         assert checker.spec == BackendSpec(
             backend_id="checker", endpoint="http://unit.test/check", model="c"
         )
-    finally:
-        close_backend(generator)
-        close_backend(checker)
 
 
 def test_every_yaml_example_in_the_readme_loads(tmp_path):
